@@ -23,6 +23,7 @@
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/plan.h"
+#include "storage/database.h"
 #include "util/random.h"
 
 namespace hrdm {
@@ -102,8 +103,9 @@ PathResult RunStreaming(const storage::Database& db, const std::string& hrql,
                  expr.status().ToString().c_str());
     return out;
   }
-  const query::Resolver resolver = query::DatabaseResolver(db);
-  const query::PlanOptions options = query::DatabasePlanOptions(db);
+  const auto pin = db.CurrentVersion();
+  const query::PlanResolver resolver = query::VersionResolver(*pin);
+  const query::PlanOptions options = query::VersionPlanOptions(*pin);
   {
     auto plan = query::Plan::Lower(*expr, resolver, options);
     if (!plan.ok()) {
@@ -139,8 +141,10 @@ PathResult RunMaterializing(const storage::Database& db,
   PathResult out;
   auto expr = query::ParseExpr(hrql);
   if (!expr.ok()) return out;
+  const auto pin = db.CurrentVersion();
+  const query::PlanResolver resolver = query::VersionResolver(*pin);
   {
-    auto warm = query::EvalMaterializing(*expr, db);
+    auto warm = query::EvalMaterializing(*expr, resolver);
     if (!warm.ok()) {
       std::fprintf(stderr, "eval failed: %s\n",
                    warm.status().ToString().c_str());
@@ -150,7 +154,7 @@ PathResult RunMaterializing(const storage::Database& db,
   }
   const auto start = Clock::now();
   for (int i = 0; i < iterations; ++i) {
-    auto r = query::EvalMaterializing(*expr, db);
+    auto r = query::EvalMaterializing(*expr, resolver);
     if (!r.ok() || r->size() != out.result_tuples) std::abort();
   }
   const std::chrono::duration<double> elapsed = Clock::now() - start;

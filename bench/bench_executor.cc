@@ -71,9 +71,11 @@ struct Workload {
 PathResult RunMaterializing(const query::ExprPtr& expr,
                             const storage::Database& db, int iterations) {
   PathResult out;
+  const auto pin = db.CurrentVersion();
+  const query::PlanResolver resolver = query::VersionResolver(*pin);
   // Warm-up + stats from a single instrumented run.
   query::EvalStats stats;
-  auto warm = query::EvalMaterializing(expr, db, &stats);
+  auto warm = query::EvalMaterializing(expr, resolver, &stats);
   if (!warm.ok()) {
     std::fprintf(stderr, "materializing eval failed: %s\n",
                  warm.status().ToString().c_str());
@@ -84,7 +86,7 @@ PathResult RunMaterializing(const query::ExprPtr& expr,
   out.total_intermediate = stats.intermediate_tuples;
   const auto start = Clock::now();
   for (int i = 0; i < iterations; ++i) {
-    auto r = query::EvalMaterializing(expr, db);
+    auto r = query::EvalMaterializing(expr, resolver);
     if (!r.ok() || r->size() != out.result_tuples) std::abort();
   }
   const std::chrono::duration<double> elapsed = Clock::now() - start;
@@ -95,7 +97,8 @@ PathResult RunMaterializing(const query::ExprPtr& expr,
 PathResult RunStreaming(const query::ExprPtr& expr,
                         const storage::Database& db, int iterations) {
   PathResult out;
-  const query::Resolver resolver = query::DatabaseResolver(db);
+  const auto pin = db.CurrentVersion();
+  const query::PlanResolver resolver = query::VersionResolver(*pin);
   {
     auto plan = query::Plan::Lower(expr, resolver);
     if (!plan.ok()) {
@@ -115,7 +118,7 @@ PathResult RunStreaming(const query::ExprPtr& expr,
   }
   const auto start = Clock::now();
   for (int i = 0; i < iterations; ++i) {
-    auto r = query::Eval(expr, resolver);
+    auto r = query::Eval(expr, *pin);
     if (!r.ok() || r->size() != out.result_tuples) std::abort();
   }
   const std::chrono::duration<double> elapsed = Clock::now() - start;

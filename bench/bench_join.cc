@@ -20,6 +20,7 @@
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/plan.h"
+#include "storage/database.h"
 #include "util/random.h"
 
 namespace hrdm {
@@ -89,7 +90,8 @@ PathResult RunStrategy(const storage::Database& db, const std::string& hrql,
                  expr.status().ToString().c_str());
     return out;
   }
-  const query::Resolver resolver = query::DatabaseResolver(db);
+  const auto pin = db.CurrentVersion();
+  const query::PlanResolver resolver = query::VersionResolver(*pin);
   query::PlanOptions options;
   options.force_join_strategy = strategy;
   {

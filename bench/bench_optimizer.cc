@@ -48,8 +48,9 @@ const char* kQueries[] = {
 void BM_EvalRaw(benchmark::State& state) {
   storage::Database db = MakeDb(static_cast<int>(state.range(1)));
   auto expr = *query::ParseExpr(kQueries[state.range(0)]);
+  const auto pin = db.CurrentVersion();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(query::Eval(expr, db));
+    benchmark::DoNotOptimize(query::Eval(expr, *pin));
   }
   state.SetLabel(kQueries[state.range(0)]);
 }
@@ -59,8 +60,9 @@ void BM_EvalOptimized(benchmark::State& state) {
   storage::Database db = MakeDb(static_cast<int>(state.range(1)));
   auto expr = *query::ParseExpr(kQueries[state.range(0)]);
   query::ExprPtr optimized = query::Optimize(expr);
+  const auto pin = db.CurrentVersion();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(query::Eval(optimized, db));
+    benchmark::DoNotOptimize(query::Eval(optimized, *pin));
   }
   state.SetLabel(optimized->ToString());
 }

@@ -32,6 +32,7 @@
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/plan.h"
+#include "storage/database.h"
 #include "util/random.h"
 
 namespace hrdm {
@@ -160,7 +161,8 @@ ThreadResult RunAtThreads(const storage::Database& db, const std::string& hrql,
                  expr.status().ToString().c_str());
     return out;
   }
-  const query::Resolver resolver = query::DatabaseResolver(db);
+  const auto pin = db.CurrentVersion();
+  const query::PlanResolver resolver = query::VersionResolver(*pin);
   query::PlanOptions options;
   options.parallelism = threads;
   {

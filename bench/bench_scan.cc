@@ -21,6 +21,7 @@
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/plan.h"
+#include "storage/database.h"
 #include "util/random.h"
 
 namespace hrdm {
@@ -80,8 +81,9 @@ PathResult RunPath(const storage::Database& db, const std::string& hrql,
                  expr.status().ToString().c_str());
     return out;
   }
-  const query::Resolver resolver = query::DatabaseResolver(db);
-  query::PlanOptions options = query::DatabasePlanOptions(db);
+  const auto pin = db.CurrentVersion();
+  const query::PlanResolver resolver = query::VersionResolver(*pin);
+  query::PlanOptions options = query::VersionPlanOptions(*pin);
   options.force_access_path = force;
   {
     // Warm-up + stats from one instrumented run.

@@ -21,7 +21,7 @@ namespace {
 
 void RunAndPrint(const storage::Database& db, const std::string& hrql) {
   std::printf("hrdm> %s\n", hrql.c_str());
-  auto result = query::Run(hrql, db);
+  auto result = query::Run(hrql, *db.CurrentVersion());
   if (!result.ok()) {
     std::printf("error: %s\n\n", result.status().ToString().c_str());
     return;
@@ -61,8 +61,9 @@ int main() {
   // PlanStats — the EXPLAIN view of the streaming execution.
   const std::string hrql = "aggregate(emp, count by Dept)";
   auto expr = query::ParseExpr(hrql);
-  auto plan = query::Plan::Lower(*expr, query::DatabaseResolver(db),
-                                 query::DatabasePlanOptions(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = query::Plan::Lower(*expr, query::VersionResolver(*pin),
+                                 query::VersionPlanOptions(*pin));
   if (plan.ok()) {
     auto out = plan->Drain();
     const query::PlanStats& s = plan->stats();

@@ -82,15 +82,17 @@ int RealMain() {
   }
 
   // --- History questions ------------------------------------------------------
+  // Queries read a pinned snapshot of the database.
+  const auto pin = db.CurrentVersion();
   // Which enrollments were active at chronon 10?
-  auto active = query::Run("timeslice(enroll, {[10]})", db);
+  auto active = query::Run("timeslice(enroll, {[10]})", *pin);
   CHECK_OK(active.status());
   std::printf("enrollments active at t10: %zu\n", active->size());
 
   // Natural join of enrollments with students over their shared SId: pairs
   // are defined exactly when the enrollment's SId value matches the
   // student's key — i.e. only while both exist (no nulls, Section 5).
-  auto joined = query::Run("natjoin(enroll, student)", db);
+  auto joined = query::Run("natjoin(enroll, student)", *pin);
   CHECK_OK(joined.status());
   std::printf("enrollment–student join: %zu history pairs\n",
               joined->size());
@@ -98,7 +100,7 @@ int RealMain() {
   // When was any course being taken by anyone? (WHEN over the enroll
   // relation — the lifespan sort of the multi-sorted algebra.)
   auto when_any = query::EvalLifespan(*query::ParseLsExpr("when(enroll)"),
-                                      db);
+                                      *pin);
   CHECK_OK(when_any.status());
   std::printf("some enrollment existed during: %s\n",
               when_any->ToString().c_str());

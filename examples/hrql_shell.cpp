@@ -84,7 +84,8 @@ void HandleCommand(const std::string& line, const storage::Database& db) {
     return;
   }
   if (std::holds_alternative<query::ExprPtr>(*parsed)) {
-    auto result = query::Eval(std::get<query::ExprPtr>(*parsed), db);
+    auto result = query::Eval(std::get<query::ExprPtr>(*parsed),
+                              *db.CurrentVersion());
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
       return;
@@ -93,7 +94,8 @@ void HandleCommand(const std::string& line, const storage::Database& db) {
                 result->size());
   } else {
     auto result =
-        query::EvalLifespan(std::get<query::LsExprPtr>(*parsed), db);
+        query::EvalLifespan(std::get<query::LsExprPtr>(*parsed),
+                            *db.CurrentVersion());
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
       return;

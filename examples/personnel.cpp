@@ -102,23 +102,25 @@ int RealMain() {
   }
 
   // --- Queries ---------------------------------------------------------------
+  // Queries read a pinned snapshot of the database.
+  const auto pin = db.CurrentVersion();
   // When did john work in tools? (HRQL, multi-sorted: WHEN returns a
   // lifespan.)
   auto tools_times = query::EvalLifespan(
       *query::ParseLsExpr(
           R"(when(select_when(emp, Name = "john" and Dept = "tools")))"),
-      db);
+      *pin);
   CHECK_OK(tools_times.status());
   std::printf("\njohn in tools WHEN: %s\n",
               tools_times->ToString().c_str());
 
   // Who was employed in 2012 (while john was gone)?
-  auto in_2012 = query::Run("timeslice(emp, {[2012]})", db);
+  auto in_2012 = query::Run("timeslice(emp, {[2012]})", *pin);
   CHECK_OK(in_2012.status());
   std::printf("\n%s\n", RenderSnapshot(*in_2012, 2012).c_str());
 
   // Who ever earned at least 65000, and over which periods?
-  auto high = query::Run("select_when(emp, Salary >= 65000)", db);
+  auto high = query::Run("select_when(emp, Salary >= 65000)", *pin);
   CHECK_OK(high.status());
   std::printf("%s\n", RenderHistory(*high).c_str());
 

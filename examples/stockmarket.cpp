@@ -89,21 +89,22 @@ int RealMain() {
 
   // Queries against each epoch. During the gap [10,19] Volume simply does
   // not exist — the select finds nothing there, with no NULL anywhere.
+  const auto pin = db.CurrentVersion();
   auto heavy_epoch1 = query::Run(
-      "timeslice(select_when(stocks, Volume >= 8000), {[0,9]})", db);
+      "timeslice(select_when(stocks, Volume >= 8000), {[0,9]})", *pin);
   CHECK_OK(heavy_epoch1.status());
   std::printf("heavy-volume days in epoch 1:\n%s\n",
               RenderHistory(*heavy_epoch1).c_str());
 
   auto gap_query = query::Run(
-      "timeslice(select_when(stocks, Volume >= 0), {[10,19]})", db);
+      "timeslice(select_when(stocks, Volume >= 0), {[10,19]})", *pin);
   CHECK_OK(gap_query.status());
   std::printf("volume-based selection inside the gap: %zu tuples (attribute "
               "did not exist then)\n",
               gap_query->size());
 
   auto epoch2 = query::Run(
-      "timeslice(select_when(stocks, Volume >= 8000), {[20,29]})", db);
+      "timeslice(select_when(stocks, Volume >= 8000), {[20,29]})", *pin);
   CHECK_OK(epoch2.status());
   std::printf("\nheavy-volume days in epoch 2:\n%s\n",
               RenderHistory(*epoch2).c_str());

@@ -12,76 +12,23 @@
 
 namespace hrdm::query {
 
-Resolver DatabaseResolver(const storage::Database& db) {
-  return [&db](std::string_view name) { return db.Get(name); };
-}
-
-Resolver VersionResolver(const storage::DatabaseVersion& version) {
+PlanResolver VersionResolver(const storage::DatabaseVersion& version) {
   return [&version](std::string_view name) { return version.Get(name); };
 }
 
-CardinalityFn CatalogCardinality(const storage::Catalog& catalog) {
-  return [&catalog](std::string_view name) -> std::optional<size_t> {
-    auto stats = catalog.Stats(name);
-    if (!stats) return std::nullopt;
-    return stats->tuple_count;
-  };
-}
-
-IndexCatalogFn CatalogIndexes(const storage::Catalog& catalog) {
-  return [&catalog](std::string_view name) -> std::optional<IndexInfo> {
-    auto spec = catalog.Indexes(name);
-    if (!spec) return std::nullopt;
-    IndexInfo info;
-    info.lifespan = spec->lifespan;
-    info.value_attrs = std::move(spec->value_attrs);
-    return info;
-  };
-}
-
-namespace {
-
-// DatabasePlanOptions and VersionPlanOptions differ only in how the source
-// spells its catalog / relation / index accessors; these overloads let one
-// template build the hooks for both. Every hook re-resolves through the
-// source per call — for a live Database that means no reference captured
-// at options-build time can dangle across later mutations, and for a
-// pinned version every answer comes from the immutable snapshot.
-const storage::Catalog& CatalogOf(const storage::Database& db) {
-  return db.catalog();
-}
-const storage::Catalog& CatalogOf(const storage::DatabaseVersion& v) {
-  return v.catalog;
-}
-const storage::RelationIndexes* IndexesOf(const storage::Database& db,
-                                          std::string_view relation) {
-  return db.indexes(relation);
-}
-const storage::RelationIndexes* IndexesOf(const storage::DatabaseVersion& v,
-                                          std::string_view relation) {
-  return v.IndexesOf(relation);
-}
-Result<const Relation*> RelationOf(const storage::Database& db,
-                                   std::string_view relation) {
-  return db.Get(relation);
-}
-Result<const Relation*> RelationOf(const storage::DatabaseVersion& v,
-                                   std::string_view relation) {
-  return v.Get(relation);
-}
-
-template <typename Source>
-PlanOptions MakePlanOptions(const Source& src) {
+PlanOptions VersionPlanOptions(const storage::DatabaseVersion& version) {
+  // Every hook re-resolves through the version per call, so every answer
+  // comes from the immutable snapshot.
   PlanOptions options;
   options.cardinality =
-      [&src](std::string_view name) -> std::optional<size_t> {
-    auto stats = CatalogOf(src).Stats(name);
+      [&version](std::string_view name) -> std::optional<size_t> {
+    auto stats = version.catalog.Stats(name);
     if (!stats) return std::nullopt;
     return stats->tuple_count;
   };
   options.index_catalog =
-      [&src](std::string_view name) -> std::optional<IndexInfo> {
-    auto spec = CatalogOf(src).Indexes(name);
+      [&version](std::string_view name) -> std::optional<IndexInfo> {
+    auto spec = version.catalog.Indexes(name);
     if (!spec) return std::nullopt;
     IndexInfo info;
     info.lifespan = spec->lifespan;
@@ -89,34 +36,34 @@ PlanOptions MakePlanOptions(const Source& src) {
     return info;
   };
   options.lifespan_probe =
-      [&src](std::string_view relation,
-             const Lifespan& window) -> std::optional<IndexProbeResult> {
-    const storage::RelationIndexes* ix = IndexesOf(src, relation);
+      [&version](std::string_view relation,
+                 const Lifespan& window) -> std::optional<IndexProbeResult> {
+    const storage::RelationIndexes* ix = version.IndexesOf(relation);
     if (!ix || !ix->has_lifespan()) return std::nullopt;
-    auto rel = RelationOf(src, relation);
+    auto rel = version.Get(relation);
     if (!rel.ok()) return std::nullopt;
     return IndexProbeResult{ix->lifespan()->Probe(window),
                             (*rel)->materialized()};
   };
   options.value_probe =
-      [&src](std::string_view relation, std::string_view attr,
-             const Value& key) -> std::optional<IndexProbeResult> {
-    const storage::RelationIndexes* ix = IndexesOf(src, relation);
+      [&version](std::string_view relation, std::string_view attr,
+                 const Value& key) -> std::optional<IndexProbeResult> {
+    const storage::RelationIndexes* ix = version.IndexesOf(relation);
     if (!ix) return std::nullopt;
     const storage::ValueIndex* vi = ix->value(attr);
     if (!vi) return std::nullopt;
-    auto rel = RelationOf(src, relation);
+    auto rel = version.Get(relation);
     if (!rel.ok()) return std::nullopt;
     return IndexProbeResult{vi->Probe(key), (*rel)->materialized()};
   };
   options.indexed_build =
-      [&src](std::string_view relation,
-             std::string_view attr) -> std::optional<IndexedBuildSide> {
-    const storage::RelationIndexes* ix = IndexesOf(src, relation);
+      [&version](std::string_view relation,
+                 std::string_view attr) -> std::optional<IndexedBuildSide> {
+    const storage::RelationIndexes* ix = version.IndexesOf(relation);
     if (!ix) return std::nullopt;
     const storage::ValueIndex* vi = ix->value(attr);
     if (!vi) return std::nullopt;
-    auto rel = RelationOf(src, relation);
+    auto rel = version.Get(relation);
     if (!rel.ok()) return std::nullopt;
     IndexedBuildSide build;
     build.materialized = (*rel)->materialized();
@@ -130,55 +77,27 @@ PlanOptions MakePlanOptions(const Source& src) {
   return options;
 }
 
-}  // namespace
-
-PlanOptions DatabasePlanOptions(const storage::Database& db) {
-  return MakePlanOptions(db);
-}
-
-PlanOptions VersionPlanOptions(const storage::DatabaseVersion& version) {
-  return MakePlanOptions(version);
-}
-
-namespace {
-
-Result<Relation> EvalStreaming(const ExprPtr& expr, const Resolver& resolver,
-                               const PlanOptions& options) {
+Result<Relation> Eval(const ExprPtr& expr,
+                      const storage::DatabaseVersion& version) {
   if (!expr) return Status::InvalidArgument("null expression");
   if (expr->kind == ExprKind::kRelationRef) {
     // A bare reference is the stored relation itself, unmaterialized —
     // copy-on-write makes this copy O(#tuples) pointer bumps, not a deep
     // copy of every temporal value.
-    HRDM_ASSIGN_OR_RETURN(const Relation* rel, resolver(expr->relation));
+    HRDM_ASSIGN_OR_RETURN(const Relation* rel, version.Get(expr->relation));
     return *rel;
   }
+  const PlanResolver resolver = VersionResolver(version);
+  const PlanOptions options = VersionPlanOptions(version);
   HRDM_ASSIGN_OR_RETURN(Plan plan, Plan::Lower(expr, resolver, options));
   return plan.Drain();
-}
-
-}  // namespace
-
-Result<Relation> Eval(const ExprPtr& expr, const Resolver& resolver) {
-  // No catalog in sight: the planner falls back to exact stored sizes
-  // through the resolver for its join-strategy cardinalities.
-  return EvalStreaming(expr, resolver, PlanOptions{});
-}
-
-Result<Relation> Eval(const ExprPtr& expr, const storage::Database& db) {
-  return EvalStreaming(expr, DatabaseResolver(db), DatabasePlanOptions(db));
-}
-
-Result<Relation> Eval(const ExprPtr& expr,
-                      const storage::DatabaseVersion& version) {
-  return EvalStreaming(expr, VersionResolver(version),
-                       VersionPlanOptions(version));
 }
 
 namespace {
 
 /// The original recursive interpreter. Every child is evaluated to a whole
 /// Relation; `stats` counts each child relation while it is live.
-Result<Relation> EvalMat(const ExprPtr& expr, const Resolver& resolver,
+Result<Relation> EvalMat(const ExprPtr& expr, const PlanResolver& resolver,
                          EvalStats* stats);
 
 /// Counts an operator's output relation while its children are still live
@@ -194,7 +113,8 @@ Result<Relation> Finish(Result<Relation> out, size_t children_tuples,
 }
 
 Result<Lifespan> EvalLifespanMat(const LsExprPtr& expr,
-                                 const Resolver& resolver, EvalStats* stats) {
+                                 const PlanResolver& resolver,
+                                 EvalStats* stats) {
   if (!expr) return Status::InvalidArgument("null lifespan expression");
   switch (expr->kind) {
     case LsExprKind::kLiteral:
@@ -229,7 +149,7 @@ Result<Lifespan> EvalLifespanMat(const LsExprPtr& expr,
   return Status::Internal("unhandled lifespan expression kind");
 }
 
-Result<Relation> EvalMat(const ExprPtr& expr, const Resolver& resolver,
+Result<Relation> EvalMat(const ExprPtr& expr, const PlanResolver& resolver,
                          EvalStats* stats) {
   if (!expr) return Status::InvalidArgument("null expression");
   Result<Relation> result = [&]() -> Result<Relation> {
@@ -357,7 +277,7 @@ Result<Relation> EvalMat(const ExprPtr& expr, const Resolver& resolver,
 }  // namespace
 
 Result<Relation> EvalMaterializing(const ExprPtr& expr,
-                                   const Resolver& resolver,
+                                   const PlanResolver& resolver,
                                    EvalStats* stats) {
   Result<Relation> result = EvalMat(expr, resolver, stats);
   if (result.ok() && stats) {
@@ -370,56 +290,10 @@ Result<Relation> EvalMaterializing(const ExprPtr& expr,
   return result;
 }
 
-Result<Relation> EvalMaterializing(const ExprPtr& expr,
-                                   const storage::Database& db,
-                                   EvalStats* stats) {
-  return EvalMaterializing(expr, DatabaseResolver(db), stats);
-}
-
-Result<Lifespan> EvalLifespan(const LsExprPtr& expr,
-                              const Resolver& resolver) {
-  if (!expr) return Status::InvalidArgument("null lifespan expression");
-  switch (expr->kind) {
-    case LsExprKind::kLiteral:
-      return expr->literal;
-    case LsExprKind::kWhen: {
-      HRDM_ASSIGN_OR_RETURN(Relation rel, Eval(expr->relation, resolver));
-      return When(rel);
-    }
-    case LsExprKind::kUnion:
-    case LsExprKind::kIntersect:
-    case LsExprKind::kDifference: {
-      HRDM_ASSIGN_OR_RETURN(Lifespan l, EvalLifespan(expr->left, resolver));
-      HRDM_ASSIGN_OR_RETURN(Lifespan r, EvalLifespan(expr->right, resolver));
-      switch (expr->kind) {
-        case LsExprKind::kUnion:
-          return l.Union(r);
-        case LsExprKind::kIntersect:
-          return l.Intersect(r);
-        case LsExprKind::kDifference:
-          return l.Difference(r);
-        case LsExprKind::kLiteral:
-        case LsExprKind::kWhen:
-          break;  // unreachable: the enclosing case covers ∪ ∩ − only
-      }
-    }
-  }
-  return Status::Internal("unhandled lifespan expression kind");
-}
-
-Result<Lifespan> EvalLifespan(const LsExprPtr& expr,
-                              const storage::Database& db) {
-  return EvalLifespan(expr, DatabaseResolver(db));
-}
-
 Result<Lifespan> EvalLifespan(const LsExprPtr& expr,
                               const storage::DatabaseVersion& version) {
-  return EvalLifespan(expr, VersionResolver(version));
-}
-
-Result<Relation> Run(std::string_view hrql, const storage::Database& db) {
-  HRDM_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpr(hrql));
-  return Eval(expr, db);
+  return Plan::EvalWindow(expr, VersionResolver(version),
+                          VersionPlanOptions(version));
 }
 
 Result<Relation> Run(std::string_view hrql,

@@ -2,12 +2,12 @@
 #define HRDM_QUERY_EXECUTOR_H_
 
 /// \file executor.h
-/// \brief Evaluation of HRQL query trees against a database.
+/// \brief Evaluation of HRQL query trees against a pinned database version.
 ///
 /// Two execution strategies share the algebra's per-tuple kernels:
 ///
 ///  * **Streaming** (the default, `Eval`): the tree is lowered to a
-///    physical plan of Volcano-style cursors (query/plan.h) and drained.
+///    physical plan of batch-at-a-time cursors (query/plan.h) and drained.
 ///    Unary pipelines (`timeslice` → `select_*` → `project` chains, the
 ///    shape the optimizer produces) stream end-to-end without materializing
 ///    any intermediate relation; blocking operators buffer internally.
@@ -23,12 +23,14 @@
 /// `Eval` for relation-sorted and `EvalLifespan` for lifespan-sorted
 /// expressions (where `when(e)` first evaluates `e` and then applies Ω).
 ///
-/// Every entry point also has an overload taking a
-/// `storage::DatabaseVersion` — a pinned, immutable snapshot
-/// (storage/database_version.h). Those overloads are the multi-session
-/// read path: they touch no lock and no live engine state, so any number
-/// of threads can evaluate against their pinned versions while writers
-/// commit (src/session/session.h wraps this as `Session`).
+/// The read surface is one `storage::DatabaseVersion` — a pinned,
+/// immutable snapshot (storage/database_version.h). Reads touch no lock
+/// and no live engine state, so any number of threads can evaluate against
+/// their pinned versions while writers commit (src/session/session.h wraps
+/// this as `Session`). Callers hold the pin: a one-shot call can write
+/// `query::Run(q, *db.CurrentVersion())`; anything that keeps a `Plan` or
+/// `PlanOptions` alive binds the pin to a named local that outlives both,
+/// because the hooks capture the version by reference.
 
 #include <cstdint>
 #include <functional>
@@ -38,43 +40,22 @@
 #include "query/ast.h"
 #include "query/optimizer.h"
 #include "query/plan.h"
-#include "storage/database.h"
+#include "storage/database_version.h"
 #include "util/status.h"
 
 namespace hrdm::query {
 
-/// \brief Resolves a base-relation name to a stored relation.
-using Resolver = std::function<Result<const Relation*>(std::string_view)>;
+/// \brief Wraps a pinned database version as a PlanResolver. The version
+/// must outlive the returned function (hold the `DatabaseVersionPtr` pin).
+PlanResolver VersionResolver(const storage::DatabaseVersion& version);
 
-/// \brief Wraps a Database as a Resolver.
-Resolver DatabaseResolver(const storage::Database& db);
-
-/// \brief Wraps a pinned database version as a Resolver. The version must
-/// outlive the returned function (hold the `DatabaseVersionPtr` pin).
-Resolver VersionResolver(const storage::DatabaseVersion& version);
-
-/// \brief Cardinality source reading the catalog's relation stats — feeds
-/// the optimizer's join-strategy chooser when evaluating against a
-/// Database. The catalog must outlive the returned function.
-CardinalityFn CatalogCardinality(const storage::Catalog& catalog);
-
-/// \brief Index-registration source reading the catalog (feeds the
-/// optimizer's access-path chooser). The catalog must outlive the returned
-/// function.
-IndexCatalogFn CatalogIndexes(const storage::Catalog& catalog);
-
-/// \brief The full set of planning hooks for evaluating against `db`:
+/// \brief The full set of planning hooks for evaluating against `version`:
 /// catalog cardinalities, index registrations, and the index probe /
-/// hash-build feeds backed by the database's storage indexes
-/// (storage/index.h). This is what `Eval(expr, db)` lowers with; tests and
-/// benches start from it and set `force_*` knobs. `db` must outlive the
-/// returned options.
-PlanOptions DatabasePlanOptions(const storage::Database& db);
-
-/// \brief Planning hooks bound to one pinned version: same shape as
-/// `DatabasePlanOptions`, but every hook answers from the immutable
-/// snapshot — safe to use from any thread, concurrently with writers, for
-/// as long as the pin is held. The version must outlive the options.
+/// hash-build feeds backed by the version's storage indexes
+/// (storage/index.h). Every hook answers from the immutable snapshot, so
+/// the options are safe to use from any thread, concurrently with writers.
+/// This is what `Eval` lowers with; tests and benches start from it and set
+/// `force_*` knobs. The version must outlive the options.
 PlanOptions VersionPlanOptions(const storage::DatabaseVersion& version);
 
 /// \brief Counters for the materializing interpreter (the baseline the
@@ -98,11 +79,9 @@ struct EvalStats {
 };
 
 /// \brief Evaluates a relation-sorted expression by lowering it to a
-/// streaming physical plan (query/plan.h). A bare relation reference
-/// returns a copy-on-write copy of the stored relation (no tuple is
-/// duplicated).
-Result<Relation> Eval(const ExprPtr& expr, const Resolver& resolver);
-Result<Relation> Eval(const ExprPtr& expr, const storage::Database& db);
+/// streaming physical plan (query/plan.h) with `VersionPlanOptions`. A bare
+/// relation reference returns a copy-on-write copy of the stored relation
+/// (no tuple is duplicated).
 Result<Relation> Eval(const ExprPtr& expr,
                       const storage::DatabaseVersion& version);
 
@@ -111,21 +90,17 @@ Result<Relation> Eval(const ExprPtr& expr,
 /// non-null, receives intermediate-relation counters (root output
 /// excluded from `intermediate_tuples`).
 Result<Relation> EvalMaterializing(const ExprPtr& expr,
-                                   const Resolver& resolver,
-                                   EvalStats* stats = nullptr);
-Result<Relation> EvalMaterializing(const ExprPtr& expr,
-                                   const storage::Database& db,
+                                   const PlanResolver& resolver,
                                    EvalStats* stats = nullptr);
 
-/// \brief Evaluates a lifespan-sorted expression.
-Result<Lifespan> EvalLifespan(const LsExprPtr& expr, const Resolver& resolver);
-Result<Lifespan> EvalLifespan(const LsExprPtr& expr,
-                              const storage::Database& db);
+/// \brief Evaluates a lifespan-sorted expression through the plan layer's
+/// window evaluator (`Plan::EvalWindow`) with `VersionPlanOptions`, so a
+/// `when(e)` reads `e` through the same access paths as inside `Eval`.
 Result<Lifespan> EvalLifespan(const LsExprPtr& expr,
                               const storage::DatabaseVersion& version);
 
-/// \brief Convenience: parse and evaluate a relation-sorted HRQL string.
-Result<Relation> Run(std::string_view hrql, const storage::Database& db);
+/// \brief Convenience: parse and evaluate a relation-sorted HRQL string
+/// (parse + execute; the optimizer's `Optimize` is not applied).
 Result<Relation> Run(std::string_view hrql,
                      const storage::DatabaseVersion& version);
 

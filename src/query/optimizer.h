@@ -133,11 +133,11 @@ size_t EstimateGroupCount(const Expr& agg, const CardinalityFn& card);
 // --- access-path selection ----------------------------------------------------
 //
 // The entry-point restrictions (SELECT-IF, SELECT-WHEN, TIME-SLICE, §4.3–4.4)
-// normally read their base relation through a full ScanCursor — O(|r|) per
+// normally read their base relation through a full scan — O(|r|) per
 // query regardless of selectivity. When the storage engine maintains an
 // index on the relation (storage/index.h, registered in the catalog), the
-// planner can open the pipeline with an IndexScanCursor over the index's
-// candidate set instead. Two index shapes are recognised:
+// planner can open the pipeline with the ScanCursor leaf over the index's
+// candidate set instead of the stored tuple vector. Two index shapes are recognised:
 //
 //  * value index — a sargable `attr = constant` conjunct under SELECT-IF
 //    (existential) or SELECT-WHEN probes the equality index; candidates are

@@ -20,6 +20,11 @@ CursorPtr MakeCursor(Args&&... args) {
   return std::make_unique<C>(std::forward<Args>(args)...);
 }
 
+/// Lowers `expr` onto an existing plan context (defined with the lowering
+/// rules below; Plan::Lower is the public entry point).
+Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
+                            PlanContext* ctx, const PlanOptions& options);
+
 // --- parallel execution helpers ---------------------------------------------
 
 /// The degree of parallelism PlanOptions asks for (0 = auto).
@@ -40,7 +45,7 @@ size_t MorselCountFor(size_t n, size_t morsel) {
 }
 
 /// Interpolates `tuples[begin, end)` in place (representation → model,
-/// Figure 9) — the per-morsel kernel of the parallel scan leaves. Worker
+/// Figure 9) — the per-morsel kernel of the parallel scan leaf. Worker
 /// threads allocate through the heap: the plan arena is coordinator-only.
 Status MaterializeRange(std::vector<TuplePtr>& tuples, size_t begin,
                         size_t end) {
@@ -50,7 +55,7 @@ Status MaterializeRange(std::vector<TuplePtr>& tuples, size_t begin,
   return Status::OK();
 }
 
-/// The scan leaves' morsel-parallel interpolation pass: every morsel writes
+/// The scan leaf's morsel-parallel interpolation pass: every morsel writes
 /// its own disjoint slice of `tuples`, so order is unchanged and no two
 /// workers touch the same slot. Stats are updated on the coordinator after
 /// all morsels join.
@@ -101,9 +106,9 @@ Result<Relation> DrainCursor(Cursor* cursor) {
 /// materializes are visible in `peak_buffered` (they are genuine
 /// intermediate materializations — the materializing interpreter counts
 /// them too).
-Result<Lifespan> EvalWindow(const LsExprPtr& expr,
-                            const PlanResolver& resolver, PlanContext* ctx,
-                            const PlanOptions& options) {
+Result<Lifespan> EvalWindowIn(const LsExprPtr& expr,
+                              const PlanResolver& resolver, PlanContext* ctx,
+                              const PlanOptions& options) {
   if (!expr) return Status::InvalidArgument("null lifespan expression");
   switch (expr->kind) {
     case LsExprKind::kLiteral:
@@ -121,10 +126,10 @@ Result<Lifespan> EvalWindow(const LsExprPtr& expr,
     case LsExprKind::kUnion:
     case LsExprKind::kIntersect:
     case LsExprKind::kDifference: {
-      HRDM_ASSIGN_OR_RETURN(Lifespan l,
-                            EvalWindow(expr->left, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(Lifespan r,
-                            EvalWindow(expr->right, resolver, ctx, options));
+      HRDM_ASSIGN_OR_RETURN(
+          Lifespan l, EvalWindowIn(expr->left, resolver, ctx, options));
+      HRDM_ASSIGN_OR_RETURN(
+          Lifespan r, EvalWindowIn(expr->right, resolver, ctx, options));
       switch (expr->kind) {
         case LsExprKind::kUnion:
           return l.Union(r);
@@ -196,50 +201,30 @@ TuplePtr PlanContext::AdoptTuple(Tuple&& t) {
   return TuplePtr(arena, obj);
 }
 
-// --- Cursor (tuple-at-a-time compatibility shim) -----------------------------
-
-Result<TuplePtr> Cursor::Next() {
-  while (true) {
-    if (read_ != nullptr && read_pos_ < read_->size()) {
-      return std::move((*read_)[read_pos_++]);
-    }
-    if (read_done_) return TuplePtr();
-    HRDM_ASSIGN_OR_RETURN(read_, NextBatch());
-    read_pos_ = 0;
-    if (read_ == nullptr) {
-      read_done_ = true;
-      return TuplePtr();
-    }
-  }
-}
-
-// --- ScalarCursor ------------------------------------------------------------
-
-Result<TupleBatch*> ScalarCursor::NextBatch() {
-  if (done_) return nullptr;
-  batch_.clear();
-  while (batch_.size() < ctx_->batch_size) {
-    HRDM_ASSIGN_OR_RETURN(TuplePtr t, NextTuple());
-    if (!t) {
-      done_ = true;
-      break;
-    }
-    batch_.push_back(std::move(t));
-  }
-  return EmitOrEnd(batch_);
-}
-
 // --- ScanCursor --------------------------------------------------------------
 
-ScanCursor::ScanCursor(const Relation& rel, size_t parallelism,
+ScanCursor::ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples,
+                       bool materialized, AccessPath path, size_t parallelism,
                        PlanContext* ctx)
-    : Cursor(rel.scheme(), ctx),
-      tuples_(rel.tuple_ptrs()),
-      materialized_(rel.materialized()),
+    : Cursor(std::move(scheme), ctx),
+      tuples_(std::move(tuples)),
+      materialized_(materialized),
       parallelism_(parallelism) {
   // Already-materialized inputs have no interpolation pass to parallelize.
   if (materialized_) parallelism_ = 1;
-  ++stats_->scans_full;
+  switch (path) {
+    case AccessPath::kFullScan:
+      ++stats_->scans_full;
+      break;
+    case AccessPath::kLifespanIndex:
+      ++stats_->scans_lifespan_index;
+      stats_->index_candidates += tuples_.size();
+      break;
+    case AccessPath::kValueIndex:
+      ++stats_->scans_value_index;
+      stats_->index_candidates += tuples_.size();
+      break;
+  }
   stats_->OnParallelOperator(parallelism_);
 }
 
@@ -264,52 +249,6 @@ Result<TupleBatch*> ScanCursor::NextBatch() {
     // MaterializedShared memoizes per stored tuple, so re-scanning a
     // database version re-uses the interpolated handles instead of
     // re-running Figure 9's mapping every query.
-    for (size_t i = 0; i < n; ++i) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr m, tuples_[pos_ + i]->MaterializedShared());
-      batch_.push_back(std::move(m));
-    }
-  }
-  pos_ += n;
-  stats_->tuples_scanned += n;
-  return EmitOrEnd(batch_);
-}
-
-// --- IndexScanCursor ---------------------------------------------------------
-
-IndexScanCursor::IndexScanCursor(SchemePtr scheme, IndexProbeResult probe,
-                                 AccessPath path, size_t parallelism,
-                                 PlanContext* ctx)
-    : Cursor(std::move(scheme), ctx),
-      tuples_(std::move(probe.candidates)),
-      materialized_(probe.materialized),
-      parallelism_(parallelism) {
-  if (materialized_) parallelism_ = 1;
-  if (path == AccessPath::kValueIndex) {
-    ++stats_->scans_value_index;
-  } else {
-    ++stats_->scans_lifespan_index;
-  }
-  stats_->index_candidates += tuples_.size();
-  stats_->OnParallelOperator(parallelism_);
-}
-
-IndexScanCursor::~IndexScanCursor() {
-  if (parallel_primed_) stats_->OnRelease(tuples_.size());
-}
-
-Result<TupleBatch*> IndexScanCursor::NextBatch() {
-  if (parallelism_ > 1 && !parallel_primed_) {
-    parallel_primed_ = true;
-    HRDM_RETURN_IF_ERROR(ParallelMaterialize(tuples_, parallelism_, stats_));
-    materialized_ = true;
-    stats_->OnBuffer(tuples_.size());
-  }
-  if (pos_ >= tuples_.size()) return nullptr;
-  const size_t n = std::min(ctx_->batch_size, tuples_.size() - pos_);
-  batch_.clear();
-  if (materialized_) {
-    for (size_t i = 0; i < n; ++i) batch_.push_back(tuples_[pos_ + i]);
-  } else {
     for (size_t i = 0; i < n; ++i) {
       HRDM_ASSIGN_OR_RETURN(TuplePtr m, tuples_[pos_ + i]->MaterializedShared());
       batch_.push_back(std::move(m));
@@ -472,54 +411,12 @@ Result<TupleBatch*> TimeSliceCursor::NextBatch() {
   }
 }
 
-// --- ProductJoinCursor -------------------------------------------------------
-
-ProductJoinCursor::ProductJoinCursor(CursorPtr left, CursorPtr right,
-                                     SchemePtr out_scheme, PlanContext* ctx)
-    : ScalarCursor(std::move(out_scheme), ctx),
-      left_(std::move(left)),
-      right_(std::move(right)) {}
-
-ProductJoinCursor::~ProductJoinCursor() {
-  stats_->OnRelease(right_buffer_.size());
-}
-
-Result<TuplePtr> ProductJoinCursor::NextTuple() {
-  if (!primed_) {
-    primed_ = true;
-    while (true) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr t, right_->Next());
-      if (!t) break;
-      right_buffer_.push_back(std::move(t));
-      stats_->OnBuffer(1);
-    }
-  }
-  if (right_buffer_.empty()) {
-    // The product is empty, but the left side must still be evaluated so
-    // its runtime errors surface exactly as in the materializing path
-    // (which evaluates both operands before applying the operator).
-    while (true) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr t, left_->Next());
-      if (!t) return TuplePtr();
-    }
-  }
-  while (true) {
-    if (!current_left_ || right_pos_ >= right_buffer_.size()) {
-      HRDM_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_) return TuplePtr();
-      right_pos_ = 0;
-    }
-    return ProductTuple(*current_left_, *right_buffer_[right_pos_++],
-                        scheme_);
-  }
-}
-
 // --- NestedLoopJoinCursor ----------------------------------------------------
 
 NestedLoopJoinCursor::NestedLoopJoinCursor(CursorPtr left, CursorPtr right,
                                            JoinAssembly assembly,
                                            JoinPairFn pair, PlanContext* ctx)
-    : ScalarCursor(assembly.scheme(), ctx),
+    : Cursor(assembly.scheme(), ctx),
       left_(std::move(left)),
       right_(std::move(right)),
       assembly_(std::move(assembly)),
@@ -531,14 +428,14 @@ NestedLoopJoinCursor::~NestedLoopJoinCursor() {
   stats_->OnRelease(right_buffer_.size());
 }
 
-Result<TuplePtr> NestedLoopJoinCursor::NextTuple() {
+Result<TupleBatch*> NestedLoopJoinCursor::NextBatch() {
   if (!primed_) {
     primed_ = true;
     while (true) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr t, right_->Next());
-      if (!t) break;
-      right_buffer_.push_back(std::move(t));
-      stats_->OnBuffer(1);
+      HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, right_->NextBatch());
+      if (!batch) break;
+      stats_->OnBuffer(batch->size());
+      for (TuplePtr& t : *batch) right_buffer_.push_back(std::move(t));
     }
   }
   if (right_buffer_.empty()) {
@@ -546,22 +443,34 @@ Result<TuplePtr> NestedLoopJoinCursor::NextTuple() {
     // runtime errors surface exactly as in the materializing path (which
     // evaluates both operands before applying the operator).
     while (true) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr t, left_->Next());
-      if (!t) return TuplePtr();
+      HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, left_->NextBatch());
+      if (!batch) return nullptr;
     }
   }
-  while (true) {
-    if (!current_left_ || right_pos_ >= right_buffer_.size()) {
-      HRDM_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_) return TuplePtr();
+  // Fill the output batch, suspending the pair walk wherever it fills;
+  // the left position and right_pos_ persist across calls.
+  out_.clear();
+  while (out_.size() < ctx_->batch_size) {
+    if (left_batch_ == nullptr || left_pos_ >= left_batch_->size()) {
+      HRDM_ASSIGN_OR_RETURN(left_batch_, left_->NextBatch());
+      left_pos_ = 0;
+      if (left_batch_ == nullptr) break;  // left exhausted: flush
+    }
+    const Tuple& t1 = *(*left_batch_)[left_pos_];
+    while (right_pos_ < right_buffer_.size() &&
+           out_.size() < ctx_->batch_size) {
+      const Tuple& t2 = *right_buffer_[right_pos_++];
+      ++stats_->join_pairs_tested;
+      HRDM_ASSIGN_OR_RETURN(Lifespan l, pair_(t1, t2));
+      if (l.empty()) continue;
+      out_.push_back(ctx_->AdoptTuple(assembly_.Assemble(t1, t2, l)));
+    }
+    if (right_pos_ >= right_buffer_.size()) {
+      ++left_pos_;
       right_pos_ = 0;
     }
-    const Tuple& t2 = *right_buffer_[right_pos_++];
-    ++stats_->join_pairs_tested;
-    HRDM_ASSIGN_OR_RETURN(Lifespan l, pair_(*current_left_, t2));
-    if (l.empty()) continue;
-    return ctx_->AdoptTuple(assembly_.Assemble(*current_left_, t2, l));
   }
+  return EmitOrEnd(out_);
 }
 
 // --- HashEquiJoinCursor ------------------------------------------------------
@@ -845,8 +754,12 @@ Result<TupleBatch*> HashEquiJoinCursor::NextBatch() {
   out_.clear();
   while (out_.size() < ctx_->batch_size) {
     if (!probe_) {
-      HRDM_ASSIGN_OR_RETURN(probe_, probe_child->Next());
-      if (!probe_) break;  // probe side exhausted: flush what we have
+      if (probe_batch_ == nullptr || probe_pos_ >= probe_batch_->size()) {
+        HRDM_ASSIGN_OR_RETURN(probe_batch_, probe_child->NextBatch());
+        probe_pos_ = 0;
+        if (probe_batch_ == nullptr) break;  // probe side exhausted: flush
+      }
+      probe_ = std::move((*probe_batch_)[probe_pos_++]);
       bucket_ = nullptr;
       bucket_pos_ = 0;
       in_varying_ = false;
@@ -892,7 +805,7 @@ Result<TupleBatch*> HashEquiJoinCursor::NextBatch() {
 MergeTimeJoinCursor::MergeTimeJoinCursor(CursorPtr left, CursorPtr right,
                                          size_t attr_a, JoinAssembly assembly,
                                          PlanContext* ctx)
-    : ScalarCursor(assembly.scheme(), ctx),
+    : Cursor(assembly.scheme(), ctx),
       left_(std::move(left)),
       right_(std::move(right)),
       attr_a_(attr_a),
@@ -907,29 +820,33 @@ MergeTimeJoinCursor::~MergeTimeJoinCursor() {
 Status MergeTimeJoinCursor::Prime() {
   primed_ = true;
   while (true) {
-    HRDM_ASSIGN_OR_RETURN(TuplePtr t, left_->Next());
-    if (!t) break;
-    // The joined lifespan is confined to image(t(A)) ∩ t.l; tuples whose
-    // effective span is empty can never join and are dropped here.
-    HRDM_ASSIGN_OR_RETURN(Lifespan image, t->value(attr_a_).TimeImage());
-    Lifespan effective = image.Intersect(t->lifespan());
-    if (effective.empty()) continue;
-    Entry e{std::move(t), std::move(effective), 0, 0};
-    e.begin = e.effective.Min();
-    e.end = e.effective.Max();
-    lefts_.push_back(std::move(e));
-    stats_->OnBuffer(1);
+    HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, left_->NextBatch());
+    if (!batch) break;
+    for (TuplePtr& t : *batch) {
+      // The joined lifespan is confined to image(t(A)) ∩ t.l; tuples whose
+      // effective span is empty can never join and are dropped here.
+      HRDM_ASSIGN_OR_RETURN(Lifespan image, t->value(attr_a_).TimeImage());
+      Lifespan effective = image.Intersect(t->lifespan());
+      if (effective.empty()) continue;
+      Entry e{std::move(t), std::move(effective), 0, 0};
+      e.begin = e.effective.Min();
+      e.end = e.effective.Max();
+      lefts_.push_back(std::move(e));
+      stats_->OnBuffer(1);
+    }
   }
   while (true) {
-    HRDM_ASSIGN_OR_RETURN(TuplePtr t, right_->Next());
-    if (!t) break;
-    Entry e{std::move(t), Lifespan(), 0, 0};
-    e.effective = e.tuple->lifespan();
-    if (e.effective.empty()) continue;
-    e.begin = e.effective.Min();
-    e.end = e.effective.Max();
-    rights_.push_back(std::move(e));
-    stats_->OnBuffer(1);
+    HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, right_->NextBatch());
+    if (!batch) break;
+    for (TuplePtr& t : *batch) {
+      Entry e{std::move(t), Lifespan(), 0, 0};
+      e.effective = e.tuple->lifespan();
+      if (e.effective.empty()) continue;
+      e.begin = e.effective.Min();
+      e.end = e.effective.Max();
+      rights_.push_back(std::move(e));
+      stats_->OnBuffer(1);
+    }
   }
   auto by_begin = [](const Entry& a, const Entry& b) {
     return a.begin < b.begin;
@@ -939,11 +856,14 @@ Status MergeTimeJoinCursor::Prime() {
   return Status::OK();
 }
 
-Result<TuplePtr> MergeTimeJoinCursor::NextTuple() {
+Result<TupleBatch*> MergeTimeJoinCursor::NextBatch() {
   if (!primed_) {
     HRDM_RETURN_IF_ERROR(Prime());
   }
-  while (li_ < lefts_.size()) {
+  // Fill the output batch, suspending the sweep wherever it fills; li_,
+  // ai_ and the frontier persist across calls.
+  out_.clear();
+  while (li_ < lefts_.size() && out_.size() < ctx_->batch_size) {
     Entry& L = lefts_[li_];
     if (!left_open_) {
       left_open_ = true;
@@ -958,7 +878,7 @@ Result<TuplePtr> MergeTimeJoinCursor::NextTuple() {
                     [&](size_t r) { return rights_[r].end < L.begin; });
       ai_ = 0;
     }
-    while (ai_ < active_.size()) {
+    while (ai_ < active_.size() && out_.size() < ctx_->batch_size) {
       const Entry& R = rights_[active_[ai_++]];
       // Extent check: actives were admitted against *some* left's end, not
       // necessarily this one's.
@@ -966,12 +886,15 @@ Result<TuplePtr> MergeTimeJoinCursor::NextTuple() {
       ++stats_->join_pairs_tested;
       Lifespan l = L.effective.Intersect(R.effective);
       if (l.empty()) continue;
-      return ctx_->AdoptTuple(assembly_.Assemble(*L.tuple, *R.tuple, l));
+      out_.push_back(
+          ctx_->AdoptTuple(assembly_.Assemble(*L.tuple, *R.tuple, l)));
     }
-    ++li_;
-    left_open_ = false;
+    if (ai_ >= active_.size()) {
+      ++li_;
+      left_open_ = false;
+    }
   }
-  return TuplePtr();
+  return EmitOrEnd(out_);
 }
 
 // --- BufferedResultCursor ----------------------------------------------------
@@ -1146,12 +1069,12 @@ AccessPath ResolveAccessPath(const AccessPathChoice& choice,
   return AccessPath::kFullScan;
 }
 
-/// Lowers the input of a restriction node (`op.left`): an IndexScanCursor
-/// over a storage-index probe when the access-path chooser picks one (and
-/// the probe hooks actually serve it), the ordinary recursive lowering —
-/// a full ScanCursor for base relations — otherwise. `window` is the
-/// operator's already-evaluated slice/quantification window, when it has
-/// one (lifespan probes need it).
+/// Lowers the input of a restriction node (`op.left`): a ScanCursor over a
+/// storage-index probe's candidates when the access-path chooser picks one
+/// (and the probe hooks actually serve it), the ordinary recursive
+/// lowering — a full ScanCursor for base relations — otherwise. `window`
+/// is the operator's already-evaluated slice/quantification window, when
+/// it has one (lifespan probes need it).
 Result<CursorPtr> LowerRestrictionInput(const Expr& op, const Lifespan* window,
                                         const PlanResolver& resolver,
                                         PlanContext* ctx,
@@ -1161,29 +1084,22 @@ Result<CursorPtr> LowerRestrictionInput(const Expr& op, const Lifespan* window,
         op, options.index_catalog,
         CardinalityOrExact(options.cardinality, resolver));
     const AccessPath path = ResolveAccessPath(choice, options);
+    std::optional<IndexProbeResult> probe;
     if (path == AccessPath::kValueIndex && options.value_probe && choice.key) {
-      if (auto probe = options.value_probe(op.left->relation, choice.attr,
-                                           *choice.key)) {
-        HRDM_ASSIGN_OR_RETURN(const Relation* rel, resolver(op.left->relation));
-        const size_t parallelism =
-            ChooseParallelism(RequestedParallelism(options),
-                              probe->candidates.size(), options.force_parallel);
-        return MakeCursor<IndexScanCursor>(
-            rel->scheme(), std::move(*probe), AccessPath::kValueIndex,
-            parallelism, ctx);
-      }
+      probe = options.value_probe(op.left->relation, choice.attr, *choice.key);
+    } else if (path == AccessPath::kLifespanIndex && options.lifespan_probe &&
+               window != nullptr) {
+      probe = options.lifespan_probe(op.left->relation, *window);
     }
-    if (path == AccessPath::kLifespanIndex && options.lifespan_probe &&
-        window != nullptr) {
-      if (auto probe = options.lifespan_probe(op.left->relation, *window)) {
-        HRDM_ASSIGN_OR_RETURN(const Relation* rel, resolver(op.left->relation));
-        const size_t parallelism =
-            ChooseParallelism(RequestedParallelism(options),
-                              probe->candidates.size(), options.force_parallel);
-        return MakeCursor<IndexScanCursor>(
-            rel->scheme(), std::move(*probe), AccessPath::kLifespanIndex,
-            parallelism, ctx);
-      }
+    if (probe) {
+      HRDM_ASSIGN_OR_RETURN(const Relation* rel, resolver(op.left->relation));
+      const size_t parallelism =
+          ChooseParallelism(RequestedParallelism(options),
+                            probe->candidates.size(), options.force_parallel);
+      return MakeCursor<ScanCursor>(rel->scheme(),
+                                    std::move(probe->candidates),
+                                    probe->materialized, path, parallelism,
+                                    ctx);
     }
   }
   return LowerExpr(op.left, resolver, ctx, options);
@@ -1222,7 +1138,8 @@ Result<CursorPtr> LowerRestrictionChain(
       stages.emplace_back(*node->predicate);
     } else {
       HRDM_ASSIGN_OR_RETURN(
-          Lifespan window, EvalWindow(node->window, resolver, ctx, options));
+          Lifespan window,
+          EvalWindowIn(node->window, resolver, ctx, options));
       probe_window =
           probe_window ? probe_window->Intersect(window) : window;
       if (!stages.empty() &&
@@ -1342,13 +1259,6 @@ Result<CursorPtr> TryIndexFedEquiJoin(const ExprPtr& expr,
       ctx);
 }
 
-}  // namespace
-
-Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
-                            PlanContext* ctx) {
-  return LowerExpr(expr, resolver, ctx, PlanOptions{});
-}
-
 Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
                             PlanContext* ctx, const PlanOptions& options) {
   if (!expr) return Status::InvalidArgument("null expression");
@@ -1358,7 +1268,9 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
       const size_t parallelism = ChooseParallelism(
           RequestedParallelism(options), rel->size(), options.force_parallel);
       // Copy-on-write: the scan shares the stored tuples.
-      return MakeCursor<ScanCursor>(*rel, parallelism, ctx);
+      return MakeCursor<ScanCursor>(rel->scheme(), rel->tuple_ptrs(),
+                                    rel->materialized(), AccessPath::kFullScan,
+                                    parallelism, ctx);
     }
     case ExprKind::kSelectIf: {
       // The window is a parameter, not a stream: evaluate it first so a
@@ -1366,7 +1278,7 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
       std::optional<Lifespan> window;
       if (expr->window) {
         HRDM_ASSIGN_OR_RETURN(
-            Lifespan w, EvalWindow(expr->window, resolver, ctx, options));
+            Lifespan w, EvalWindowIn(expr->window, resolver, ctx, options));
         window = std::move(w);
       }
       HRDM_ASSIGN_OR_RETURN(
@@ -1411,8 +1323,19 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
                             LowerExpr(expr->right, resolver, ctx, options));
       HRDM_ASSIGN_OR_RETURN(SchemePtr scheme,
                             ProductScheme(left->scheme(), right->scheme()));
-      return MakeCursor<ProductJoinCursor>(
-          std::move(left), std::move(right), std::move(scheme), ctx);
+      // × is the degenerate join (Section 5): every pair joins, on the union
+      // of the operand lifespans. Assemble's restriction to a superset of
+      // each value's domain is the identity, so each side's values stay on
+      // their own, now partial, domains — exactly ProductTuple.
+      JoinAssembly assembly(std::move(scheme), *left->scheme(),
+                            *right->scheme());
+      JoinPairFn pair = [](const Tuple& t1,
+                           const Tuple& t2) -> Result<Lifespan> {
+        return t1.lifespan().Union(t2.lifespan());
+      };
+      return MakeCursor<NestedLoopJoinCursor>(
+          std::move(left), std::move(right), std::move(assembly),
+          std::move(pair), ctx);
     }
     case ExprKind::kUnion:
     case ExprKind::kIntersect:
@@ -1574,30 +1497,35 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
   return Status::Internal("unhandled expression kind");
 }
 
-Result<Plan> Plan::Lower(const ExprPtr& expr, const PlanResolver& resolver) {
-  return Lower(expr, resolver, PlanOptions{});
-}
-
-Result<Plan> Plan::Lower(const ExprPtr& expr, const PlanResolver& resolver,
-                         const PlanOptions& options) {
+/// A fresh per-plan context: the chosen batch size and an arena.
+std::unique_ptr<PlanContext> MakePlanContext(const PlanOptions& options) {
   auto ctx = std::make_unique<PlanContext>();
   ctx->batch_size = ChooseBatchSize(options.batch_size);
   ctx->arena = std::make_shared<util::Arena>();
+  return ctx;
+}
+
+}  // namespace
+
+Result<Plan> Plan::Lower(const ExprPtr& expr, const PlanResolver& resolver,
+                         const PlanOptions& options) {
+  std::unique_ptr<PlanContext> ctx = MakePlanContext(options);
   HRDM_ASSIGN_OR_RETURN(CursorPtr root,
                         LowerExpr(expr, resolver, ctx.get(), options));
   return Plan(std::move(ctx), std::move(root));
+}
+
+Result<Lifespan> Plan::EvalWindow(const LsExprPtr& expr,
+                                  const PlanResolver& resolver,
+                                  const PlanOptions& options) {
+  std::unique_ptr<PlanContext> ctx = MakePlanContext(options);
+  return EvalWindowIn(expr, resolver, ctx.get(), options);
 }
 
 Result<TupleBatch*> Plan::NextBatch() {
   HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, root_->NextBatch());
   if (batch) ctx_->stats.tuples_returned += batch->size();
   return batch;
-}
-
-Result<TuplePtr> Plan::Next() {
-  HRDM_ASSIGN_OR_RETURN(TuplePtr t, root_->Next());
-  if (t) ++ctx_->stats.tuples_returned;
-  return t;
 }
 
 Result<Relation> Plan::Drain() {

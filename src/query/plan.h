@@ -11,19 +11,18 @@
 /// intermediate `Relation` is ever materialized along a unary pipeline
 /// (the shape the optimizer's push-down rules produce:
 /// `project(select_when(timeslice(r, L), p), X)` streams end-to-end with
-/// one batch in flight per operator), but the per-pull virtual-call and
-/// handle-shuffling overhead of the old tuple-at-a-time Volcano protocol
-/// is amortized over whole batches: each operator runs its kernel in a
-/// tight loop over the batch it holds.
+/// one batch in flight per operator), and the per-pull virtual-call and
+/// handle-shuffling overhead is amortized over whole batches: each
+/// operator runs its kernel in a tight loop over the batch it holds.
 ///
-/// **Batch protocol.** `NextBatch()` returns a pointer to a batch owned by
-/// the producing cursor, or null at end of stream; emitted batches are
-/// never empty, and the pointed-to batch is valid only until the next
-/// `NextBatch()` call on the same cursor. The consumer MAY move handles
-/// out of the batch (every cursor refills or clears its batch before
-/// reuse). A non-virtual `Next()` compatibility shim drives unported
-/// consumers one tuple at a time over the same batches, so porting an
-/// operator is never blocked on porting its neighbours.
+/// **Batch protocol.** `NextBatch()` is the only cursor protocol. It
+/// returns a pointer to a batch owned by the producing cursor, or null at
+/// end of stream; emitted batches are never empty, and the pointed-to batch
+/// is valid only until the next `NextBatch()` call on the same cursor. The
+/// consumer MAY move handles out of the batch (every cursor refills or
+/// clears its batch before reuse). Consumers that walk their input a tuple
+/// at a time (the join probes) hold the current input batch and an index
+/// into it.
 ///
 /// **Arena memory.** Per-query tuple temporaries (restricted, projected
 /// and joined tuples created by the serial operator kernels) are
@@ -37,7 +36,7 @@
 /// `batches_emitted`/`batch_tuples` the batch traffic.
 ///
 /// Cursors reuse the algebra's kernels (SelectIfBatch, SelectWhenHolds,
-/// TimeSliceTupleRaw, ProjectTupleRaw, ProductTuple, JoinKeysDigest, ...),
+/// TimeSliceTupleRaw, ProjectTupleRaw, JoinAssembly, JoinKeysDigest, ...),
 /// so the streaming and whole-relation paths share one implementation of
 /// the paper's semantics. Interpolation (representation → model mapping,
 /// Figure 9) happens once, per tuple, at the scan leaf. Restriction
@@ -51,18 +50,20 @@
 ///    whole inputs (structural/mergeable lookups), so it drains both
 ///    children, applies the whole-relation operator, and streams (or
 ///    surrenders) the result;
-///  * `ProductJoinCursor` — buffers only its *right* input and streams the
-///    left, so `r × s` holds |s| tuples, not |r × s|;
 ///  * `HashAggregateCursor` — AGGREGATE: folds the input batches into
 ///    per-group aggregation state (key vector + contribution segments, via
 ///    the shared kernel of algebra/aggregate.h), holding input handles only
 ///    for the duplicate elimination a set-semantics aggregate requires.
 ///
-/// The JOIN family lowers to dedicated join cursors, all built on the
-/// shared assembly kernel of algebra/join.h and selected by the optimizer's
-/// `ChooseJoinStrategy` (equi-pattern detection + catalog cardinality):
+/// The JOIN family and the Cartesian product lower to dedicated join
+/// cursors, all built on the shared assembly kernel of algebra/join.h and
+/// selected by the optimizer's `ChooseJoinStrategy` (equi-pattern detection
+/// + catalog cardinality):
 ///  * `NestedLoopJoinCursor` — pairwise θ evaluation; buffers only the
-///    right input, streams the left (the fallback "product" strategy);
+///    right input, streams the left (the fallback "product" strategy).
+///    `r × s` is this cursor too: Section 5 reads JOIN as SELECT-WHEN ∘ ×,
+///    so × is the degenerate join whose pair lifespan is `t1.l ∪ t2.l`,
+///    and `r × s` holds |s| tuples, not |r × s|;
 ///  * `HashEquiJoinCursor` — EQUIJOIN/NATURAL-JOIN: buffers only its
 ///    *build* side, partitioned by a time-invariant digest of the join
 ///    attribute values; build tuples whose join attribute varies over
@@ -72,18 +73,18 @@
 ///  * `MergeTimeJoinCursor` — TIME-JOIN: buffers both sides sorted by
 ///    effective-span start and sweeps a chronon-interval frontier so only
 ///    pairs whose spans can overlap are tested.
+/// Every join cursor fills its output batch pair by pair and suspends its
+/// pair walk wherever the batch fills, resuming there on the next pull.
 ///
-/// Base relations are read through one of two leaves, picked by the
-/// optimizer's `ChooseAccessPath` (query/optimizer.h) at lowering time:
-///  * `ScanCursor` — the full scan, filling batches straight from the
-///    stored tuple vector;
-///  * `IndexScanCursor` — an access-path read: the candidate set of a
-///    storage-index probe (lifespan interval index for TIME-SLICE windows,
-///    value equality index for sargable SELECT-IF/SELECT-WHEN conjuncts —
-///    see storage/index.h), reached through the probe hooks of
-///    `PlanOptions` so this layer never depends on storage types. The
-///    enclosing operator's kernel re-checks every candidate, so index scans
-///    prune work, never change answers.
+/// Base relations are read through one leaf, `ScanCursor`, over the tuple
+/// vector of the access path the optimizer's `ChooseAccessPath`
+/// (query/optimizer.h) picks at lowering time: the stored relation (full
+/// scan), or the candidate set of a storage-index probe (lifespan interval
+/// index for TIME-SLICE windows, value equality index for sargable
+/// SELECT-IF/SELECT-WHEN conjuncts — see storage/index.h), reached through
+/// the probe hooks of `PlanOptions` so this layer never depends on storage
+/// types. The enclosing operator's kernel re-checks every candidate, so
+/// index reads prune work, never change answers.
 ///
 /// `PlanStats::peak_buffered` is the peak intermediate tuple count: 0 for a
 /// fully streaming pipeline (in-flight batches are not "buffered" — they
@@ -96,7 +97,7 @@
 /// `ChooseParallelism` grants them more than one worker
 /// (`PlanOptions::parallelism`, default HRDM_THREADS / hardware
 /// concurrency; serial below a cardinality threshold):
-///  * the scan leaves split their interpolation pass (representation →
+///  * the scan leaf splits its interpolation pass (representation →
 ///    model, the per-tuple CPU cost of a base read) into ~kMorselSize-tuple
 ///    morsels materialized by workers into per-morsel slots;
 ///  * `HashEquiJoinCursor` digests its drained build side via per-morsel
@@ -137,8 +138,8 @@
 
 namespace hrdm::query {
 
-/// \brief Resolves a base-relation name to a stored relation (mirrors
-/// executor.h's Resolver; redeclared here to avoid a circular include).
+/// \brief Resolves a base-relation name to a stored relation
+/// (executor.h's `VersionResolver` builds one over a pinned version).
 using PlanResolver = std::function<Result<const Relation*>(std::string_view)>;
 
 /// \brief The unit of flow between cursors: a run of shared tuple handles,
@@ -313,12 +314,6 @@ class Cursor {
   /// \brief Pulls the next output batch; null at end of stream.
   virtual Result<TupleBatch*> NextBatch() = 0;
 
-  /// \brief Tuple-at-a-time compatibility shim over `NextBatch`: yields
-  /// the batches' handles one by one, null at end of stream. For consumers
-  /// that need per-tuple control flow; do not interleave with direct
-  /// `NextBatch` calls on the same cursor.
-  Result<TuplePtr> Next();
-
   /// \brief Blocking cursors that already hold their entire output as a
   /// set-semantics Relation may surrender it wholesale, so a draining
   /// consumer does not re-deduplicate an already-deduplicated result.
@@ -345,72 +340,32 @@ class Cursor {
   SchemePtr scheme_;
   PlanContext* ctx_;  // owned by the enclosing Plan; never null
   PlanStats* stats_;  // == &ctx_->stats (kept for kernel-loop brevity)
-
- private:
-  // Next() shim state: the batch currently being handed out one-by-one.
-  TupleBatch* read_ = nullptr;
-  size_t read_pos_ = 0;
-  bool read_done_ = false;
 };
 
 using CursorPtr = std::unique_ptr<Cursor>;
 
-/// \brief Adapter base for cursors still implemented tuple-at-a-time
-/// (`NextTuple`): packs their output into batches so batch-native
-/// consumers see the uniform protocol. Porting an operator to native
-/// batches means moving it off this base.
-class ScalarCursor : public Cursor {
- public:
-  using Cursor::Cursor;
-  Result<TupleBatch*> NextBatch() final;
-
- protected:
-  /// \brief Produces the next output tuple; null at end of stream.
-  virtual Result<TuplePtr> NextTuple() = 0;
-
- private:
-  TupleBatch batch_;
-  bool done_ = false;
-};
-
 // --- cursors -----------------------------------------------------------------
 
-/// \brief Leaf: streams a relation's tuples without copying them, slicing
-/// the stored tuple vector directly into batches. Holds only the shared
-/// tuple handles (not the relation's key/structural indexes), so the scan
-/// is safe even if the stored relation is later mutated and construction
-/// is O(#tuples) pointer bumps.
-/// Non-materialized inputs are interpolated per batch (into the arena);
-/// with `parallelism > 1` the whole interpolation pass instead runs up
-/// front, morsel-parallel on the worker pool (per-morsel output slots, so
-/// tuple order is unchanged), and the materialized tuples stream from the
-/// buffer (accounted in PlanStats until the cursor dies).
+/// \brief The one leaf: streams a base relation's tuples without copying
+/// them, slicing a tuple vector directly into batches. `path` records where
+/// the vector came from — the stored relation (kFullScan) or the candidate
+/// set of a lifespan / value index probe, a superset of the qualifying
+/// tuples that the enclosing operator's kernel re-checks, so the read is
+/// exact — and picks the PlanStats access-path counter. Holds only the
+/// shared tuple handles (not the relation's key/structural indexes), so
+/// the scan is safe even if the stored relation is later mutated and
+/// construction is O(#tuples) pointer bumps.
+/// Non-materialized inputs are interpolated per batch; with
+/// `parallelism > 1` the whole interpolation pass instead runs up front,
+/// morsel-parallel on the worker pool (per-morsel output slots, so tuple
+/// order is unchanged), and the materialized tuples stream from the buffer
+/// (accounted in PlanStats until the cursor dies).
 class ScanCursor : public Cursor {
  public:
-  ScanCursor(const Relation& rel, size_t parallelism, PlanContext* ctx);
+  ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples,
+             bool materialized, AccessPath path, size_t parallelism,
+             PlanContext* ctx);
   ~ScanCursor() override;
-  Result<TupleBatch*> NextBatch() override;
-
- private:
-  std::vector<TuplePtr> tuples_;
-  bool materialized_;
-  size_t parallelism_;
-  bool parallel_primed_ = false;
-  size_t pos_ = 0;
-  TupleBatch batch_;
-};
-
-/// \brief Leaf: streams the candidate set of a storage-index probe
-/// (lifespan or value index — `path` records which) instead of the whole
-/// relation. Candidates are a superset of the qualifying tuples; the
-/// enclosing operator's kernel re-checks each one, so the scan is exact.
-/// Like ScanCursor, non-materialized candidates are interpolated per batch
-/// — or morsel-parallel up front when `parallelism > 1`.
-class IndexScanCursor : public Cursor {
- public:
-  IndexScanCursor(SchemePtr scheme, IndexProbeResult probe, AccessPath path,
-                  size_t parallelism, PlanContext* ctx);
-  ~IndexScanCursor() override;
   Result<TupleBatch*> NextBatch() override;
 
  private:
@@ -518,26 +473,6 @@ class TimeSliceCursor : public Cursor {
   TupleBatch out_;
 };
 
-/// \brief Cartesian product: streams the left input against a buffered
-/// right input (|right| buffered tuples, counted in PlanStats).
-class ProductJoinCursor : public ScalarCursor {
- public:
-  ProductJoinCursor(CursorPtr left, CursorPtr right, SchemePtr out_scheme,
-                    PlanContext* ctx);
-  ~ProductJoinCursor() override;
-
- protected:
-  Result<TuplePtr> NextTuple() override;
-
- private:
-  CursorPtr left_;
-  CursorPtr right_;
-  bool primed_ = false;
-  std::vector<TuplePtr> right_buffer_;
-  TuplePtr current_left_;
-  size_t right_pos_ = 0;
-};
-
 // --- join cursors ------------------------------------------------------------
 
 /// \brief The joined lifespan of one (left, right) tuple pair — empty means
@@ -546,19 +481,20 @@ class ProductJoinCursor : public ScalarCursor {
 using JoinPairFn =
     std::function<Result<Lifespan>(const Tuple& left, const Tuple& right)>;
 
-/// \brief Fallback join strategy: streams the left input against a buffered
-/// right input, evaluating the pair kernel for every pair (the JOIN ≡
-/// SELECT-WHEN ∘ × reading, with the filter fused so no wide product tuple
-/// is ever assembled for non-matching pairs). Buffers |right| tuples.
-class NestedLoopJoinCursor : public ScalarCursor {
+/// \brief Fallback join strategy and the Cartesian product: streams the
+/// left input against a buffered right input, evaluating the pair kernel
+/// for every pair (the JOIN ≡ SELECT-WHEN ∘ × reading, with the filter
+/// fused so no wide product tuple is ever assembled for non-matching
+/// pairs; × itself binds the kernel `t1.l ∪ t2.l`). Emits left-major, then
+/// in right-buffer order, suspending mid-right-buffer when the output batch
+/// fills. Buffers |right| tuples.
+class NestedLoopJoinCursor : public Cursor {
  public:
   NestedLoopJoinCursor(CursorPtr left, CursorPtr right,
                        JoinAssembly assembly, JoinPairFn pair,
                        PlanContext* ctx);
   ~NestedLoopJoinCursor() override;
-
- protected:
-  Result<TuplePtr> NextTuple() override;
+  Result<TupleBatch*> NextBatch() override;
 
  private:
   CursorPtr left_;
@@ -567,8 +503,12 @@ class NestedLoopJoinCursor : public ScalarCursor {
   JoinPairFn pair_;
   bool primed_ = false;
   std::vector<TuplePtr> right_buffer_;
-  TuplePtr current_left_;
+  // Pair walk: the current left input batch, the left tuple's index in it,
+  // and the next right-buffer position to pair it with.
+  TupleBatch* left_batch_ = nullptr;
+  size_t left_pos_ = 0;
   size_t right_pos_ = 0;
+  TupleBatch out_;
 };
 
 /// \brief Hash equi-join (EQUIJOIN / NATURAL-JOIN with shared attributes):
@@ -642,7 +582,10 @@ class HashEquiJoinCursor : public Cursor {
   std::vector<size_t> varying_;  // build tuples without a constant digest
 
   // Probe iteration state (serial mode). The candidate walk for probe_
-  // suspends wherever the output batch fills and resumes on the next pull.
+  // suspends wherever the output batch fills and resumes on the next pull;
+  // probe_ is taken from probe_batch_[probe_pos_ - 1].
+  TupleBatch* probe_batch_ = nullptr;
+  size_t probe_pos_ = 0;
   TuplePtr probe_;
   const std::vector<size_t>* bucket_ = nullptr;  // candidates for probe_
   size_t bucket_pos_ = 0;
@@ -660,16 +603,15 @@ class HashEquiJoinCursor : public Cursor {
 /// \brief TIME-JOIN via a lifespan merge: both sides are drained and sorted
 /// by the start of their effective chronon span (left: image(t(A)) ∩ t.l,
 /// right: t.l); a sweep keeps a frontier of right tuples whose spans can
-/// still overlap, so far fewer than |l|·|r| pairs are tested. Buffers both
-/// sides.
-class MergeTimeJoinCursor : public ScalarCursor {
+/// still overlap, so far fewer than |l|·|r| pairs are tested. Emits in
+/// sorted-left order, then active-set order, suspending mid-active-set
+/// when the output batch fills. Buffers both sides.
+class MergeTimeJoinCursor : public Cursor {
  public:
   MergeTimeJoinCursor(CursorPtr left, CursorPtr right, size_t attr_a,
                       JoinAssembly assembly, PlanContext* ctx);
   ~MergeTimeJoinCursor() override;
-
- protected:
-  Result<TuplePtr> NextTuple() override;
+  Result<TupleBatch*> NextBatch() override;
 
  private:
   struct Entry {
@@ -694,6 +636,7 @@ class MergeTimeJoinCursor : public ScalarCursor {
   std::vector<size_t> active_; // rights whose span may still overlap
   size_t ai_ = 0;              // next active candidate for lefts_[li_]
   bool left_open_ = false;     // activation done for lefts_[li_]
+  TupleBatch out_;
 };
 
 /// \brief Base for blocking cursors that compute their entire output
@@ -787,7 +730,7 @@ class SetOpCursor : public BufferedResultCursor {
 /// \brief Knobs for lowering a query tree to a physical plan.
 struct PlanOptions {
   /// Base-relation cardinality estimates for the join-strategy chooser
-  /// (typically CatalogCardinality from executor.h). When null, the
+  /// (catalog stats, via VersionPlanOptions in executor.h). When null, the
   /// planner resolves names through the PlanResolver and uses exact stored
   /// sizes.
   CardinalityFn cardinality;
@@ -797,8 +740,8 @@ struct PlanOptions {
   /// to nested loop.
   std::optional<JoinStrategy> force_join_strategy;
 
-  // --- access paths (storage indexes; see DatabasePlanOptions in
-  // executor.h for the hooks wired to a Database) -----------------------------
+  // --- access paths (storage indexes; see VersionPlanOptions in
+  // executor.h for the hooks wired to a pinned version) -----------------------
 
   /// Which indexes exist per base relation, for the access-path chooser.
   /// When null, every base read is a full scan.
@@ -843,18 +786,21 @@ class Plan {
   /// Scheme computation and compatibility checks happen here, eagerly;
   /// lifespan-sorted windows are evaluated eagerly too (they are
   /// parameters, not streams). Per-tuple errors (e.g. a predicate naming an
-  /// unknown attribute) surface on `Next`/`NextBatch`.
-  static Result<Plan> Lower(const ExprPtr& expr, const PlanResolver& resolver);
+  /// unknown attribute) surface on `NextBatch`/`Drain`.
   static Result<Plan> Lower(const ExprPtr& expr, const PlanResolver& resolver,
-                            const PlanOptions& options);
+                            const PlanOptions& options = PlanOptions{});
+
+  /// \brief Evaluates a lifespan-sorted expression (`when(e)` lowers `e`
+  /// with `options` and drains it, then applies Ω) — the one window
+  /// evaluator, also used for the slice/quantification windows inside
+  /// `Lower`.
+  static Result<Lifespan> EvalWindow(
+      const LsExprPtr& expr, const PlanResolver& resolver,
+      const PlanOptions& options = PlanOptions{});
 
   /// \brief Pulls the next root batch; null at end of stream. Owned by the
   /// root cursor, valid until the next call.
   Result<TupleBatch*> NextBatch();
-
-  /// \brief Pulls the next root tuple; null at end of stream (the
-  /// tuple-at-a-time shim over `NextBatch`).
-  Result<TuplePtr> Next();
 
   /// \brief Runs the plan to completion into a set-semantics `Relation`
   /// (structural duplicates collapsed, empty-lifespan tuples dropped),
@@ -872,13 +818,6 @@ class Plan {
   std::unique_ptr<PlanContext> ctx_;  // address-stable; outlives root_
   CursorPtr root_;
 };
-
-/// \brief Lowers `expr` onto an existing plan context (used by Plan::Lower
-/// and by tests that compose cursors directly).
-Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
-                            PlanContext* ctx);
-Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
-                            PlanContext* ctx, const PlanOptions& options);
 
 }  // namespace hrdm::query
 

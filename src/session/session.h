@@ -27,7 +27,7 @@
 /// visible to *new* sessions — or to an existing one that explicitly calls
 /// `Refresh`, trading its snapshot for the current one. This is snapshot
 /// isolation for readers with serialized writers, not full multi-writer
-/// transactions; ROADMAP item 2 tracks the remaining distance.
+/// transactions.
 
 #include <cstdint>
 #include <string>

@@ -44,8 +44,8 @@
 /// indexes (storage/index.h) that the engine keeps in sync through every
 /// DML mutation above (and rebuilds wholesale after schema evolution, which
 /// rebinds every tuple). Registrations live in the catalog; the query
-/// optimizer reaches both through the hooks of
-/// `query::DatabasePlanOptions`.
+/// optimizer reaches both through the hooks `query::VersionPlanOptions`
+/// builds over a pinned `CurrentVersion()`.
 ///
 /// Persistence: `Save`/`Load` write a versioned binary snapshot (the
 /// physical level of Figure 9) through storage/serializer.h. The raw image

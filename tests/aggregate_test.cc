@@ -73,7 +73,7 @@ storage::Database EmpDb() {
 }
 
 Result<Relation> RunHrql(const storage::Database& db, const std::string& q) {
-  return query::Run(q, db);
+  return query::Run(q, *db.CurrentVersion());
 }
 
 /// The single tuple of an ungrouped aggregate result.
@@ -222,7 +222,8 @@ TEST(AggregateTest, StreamDuplicatesCollapseBeforeAggregation) {
   EXPECT_EQ(OnlyTuple(*streamed).value(0).ValueAt(0), Value::Int(1));
   auto expr = query::ParseExpr("aggregate(project(r, V), count)");
   ASSERT_TRUE(expr.ok());
-  auto materialized = query::EvalMaterializing(*expr, db);
+  auto materialized = query::EvalMaterializing(
+      *expr, query::VersionResolver(*db.CurrentVersion()));
   ASSERT_TRUE(materialized.ok());
   EXPECT_TRUE(streamed->EqualsAsSet(*materialized));
 }
@@ -321,8 +322,9 @@ TEST(AggregateTest, PlanStatsCountGroupsAndFallbacks) {
   auto db = EmpDb();
   auto expr = query::ParseExpr("aggregate(emp, count by Dept)");
   ASSERT_TRUE(expr.ok());
-  auto plan = query::Plan::Lower(*expr, query::DatabaseResolver(db),
-                                 query::DatabasePlanOptions(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = query::Plan::Lower(*expr, query::VersionResolver(*pin),
+                                 query::VersionPlanOptions(*pin));
   ASSERT_TRUE(plan.ok());
   auto out = plan->Drain();
   ASSERT_TRUE(out.ok());
@@ -346,13 +348,14 @@ TEST(AggregateTest, GroupEstimateFeedsThePlanner) {
   auto ungrouped = query::ParseExpr("aggregate(emp, count)");
   ASSERT_TRUE(grouped.ok());
   ASSERT_TRUE(ungrouped.ok());
-  const query::CardinalityFn card =
-      query::CatalogCardinality(db.catalog());
+  const auto pin = db.CurrentVersion();
+  const query::PlanOptions options = query::VersionPlanOptions(*pin);
+  const query::CardinalityFn& card = options.cardinality;
   EXPECT_EQ(query::EstimateGroupCount(**ungrouped, card), 1u);
   EXPECT_GE(query::EstimateGroupCount(**grouped, card), 1u);
   // And the estimate is what the lowered plan records.
-  auto plan = query::Plan::Lower(*grouped, query::DatabaseResolver(db),
-                                 query::DatabasePlanOptions(db));
+  auto plan =
+      query::Plan::Lower(*grouped, query::VersionResolver(*pin), options);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->stats().agg_groups_estimated,
             query::EstimateGroupCount(**grouped, card));
@@ -371,9 +374,11 @@ void ExpectAggParity(const storage::Database& db, const std::string& hrql) {
   auto expr = query::ParseExpr(hrql);
   ASSERT_TRUE(expr.ok()) << hrql << ": " << expr.status().ToString();
 
+  const auto pin = db.CurrentVersion();
   auto streamed =
       hrdm::testing::RunBatchInvariant(db, *expr, query::PlanOptions{});
-  auto materialized = query::EvalMaterializing(*expr, db);
+  auto materialized =
+      query::EvalMaterializing(*expr, query::VersionResolver(*pin));
   ASSERT_EQ(streamed.ok(), materialized.ok())
       << hrql << ": " << streamed.status().ToString() << " vs "
       << materialized.status().ToString();
@@ -384,7 +389,8 @@ void ExpectAggParity(const storage::Database& db, const std::string& hrql) {
       << materialized->ToString();
 
   if ((*expr)->kind == query::ExprKind::kAggregate) {
-    auto input = query::EvalMaterializing((*expr)->left, db);
+    auto input =
+        query::EvalMaterializing((*expr)->left, query::VersionResolver(*pin));
     ASSERT_TRUE(input.ok()) << hrql;
     AggregateSpec spec{(*expr)->agg_fn, (*expr)->attr_a, (*expr)->attrs};
     auto whole = Aggregate(*input, spec);

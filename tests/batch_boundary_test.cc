@@ -5,8 +5,10 @@
 // never empty, never exceed B, EOS is stable) and that the collected
 // output is set-equal to the materializing oracle at every size. Plus a
 // selective filter that empties whole input batches mid-stream (the
-// "skip, don't emit []" clause) and a probe-resumption case where one
-// probe tuple's matches straddle several output batches.
+// "skip, don't emit []" clause), pair-walk resumption cases where one
+// probe/left tuple's matches straddle several output batches (hash probe,
+// nested loop, product, merge time-join), and error parity for joins whose
+// right input is empty under an erroring left input.
 
 #include <gtest/gtest.h>
 
@@ -59,6 +61,23 @@ void AddJoinPartner(storage::Database& db, size_t n) {
   }
 }
 
+/// Adds tl(TId*, At) with `n` tuples, At = the chronon i % 10 (time-valued),
+/// lifespans all [0,9] — the TIME-JOIN left input (`timejoin(tl, _, At)`).
+void AddTimeLeft(storage::Database& db, size_t n) {
+  auto scheme = *RelationScheme::Make(
+      "tl",
+      {{"TId", DomainType::kString, kFull, InterpolationKind::kDiscrete},
+       {"At", DomainType::kTime, kFull, InterpolationKind::kStepwise}},
+      {"TId"});
+  ASSERT_TRUE(db.CreateRelation(scheme).ok());
+  for (size_t i = 0; i < n; ++i) {
+    Tuple::Builder b(scheme, kFull);
+    b.SetConstant("TId", Value::String("t" + std::to_string(i)));
+    b.SetConstant("At", Value::Time(static_cast<TimePoint>(i % 10)));
+    ASSERT_TRUE(db.Insert("tl", *std::move(b).Build()).ok());
+  }
+}
+
 /// Drains `plan` through NextBatch, asserting the batch protocol at every
 /// step, and returns the collected output as a set-semantics Relation.
 Relation DrainCheckingProtocol(Plan& plan, size_t batch_size) {
@@ -93,10 +112,11 @@ void ExpectBoundaryClean(const storage::Database& db, const std::string& hrql,
   ASSERT_TRUE(expr.ok()) << expr.status().ToString();
   PlanOptions options = extra;
   options.batch_size = kB;
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db), options);
+  const storage::DatabaseVersionPtr pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin), options);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   Relation got = DrainCheckingProtocol(*plan, kB);
-  auto oracle = EvalMaterializing(*expr, db);
+  auto oracle = EvalMaterializing(*expr, VersionResolver(*pin));
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   EXPECT_TRUE(oracle->EqualsAsSet(got))
       << "oracle:\n"
@@ -175,6 +195,30 @@ TEST(BatchBoundaryTest, HashEquiJoinCursor) {
   }
 }
 
+TEST(BatchBoundaryTest, NestedLoopJoinCursor) {
+  for (size_t n : kSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto db = IntDb(n);
+    AddJoinPartner(db, n);
+    PlanOptions forced;
+    forced.force_join_strategy = JoinStrategy::kNestedLoop;
+    ExpectBoundaryClean(db, "join(r, r2, V = W)", forced);
+    ExpectBoundaryClean(db, "join(r, r2, V < W)");  // θ: no other strategy
+    ExpectBoundaryClean(db, "product(r, r2)");      // × runs here too
+  }
+}
+
+TEST(BatchBoundaryTest, MergeTimeJoinCursor) {
+  for (size_t n : kSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto db = IntDb(n);
+    AddTimeLeft(db, n);
+    PlanOptions forced;
+    forced.force_join_strategy = JoinStrategy::kMerge;
+    ExpectBoundaryClean(db, "timejoin(tl, r, At)", forced);
+  }
+}
+
 TEST(BatchBoundaryTest, HashAggregateCursor) {
   for (size_t n : kSizes) {
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -225,7 +269,11 @@ TEST(BatchBoundaryTest, ProbeMatchesStraddleOutputBatches) {
   // One probe tuple matching many build tuples: r2 holds 2B+1 tuples with
   // W = 0, r holds the single tuple V = 0, so the lone probe's candidate
   // walk must suspend when the output batch fills and resume mid-bucket.
+  // The same shape drives the nested-loop walk over its right buffer (θ
+  // and ×) and, with tl's single At = chronon 0, the merge sweep over its
+  // active set.
   auto db = IntDb(1);
+  AddTimeLeft(db, 1);
   {
     auto scheme = *RelationScheme::Make(
         "r2",
@@ -243,10 +291,51 @@ TEST(BatchBoundaryTest, ProbeMatchesStraddleOutputBatches) {
   PlanOptions forced;
   forced.force_join_strategy = JoinStrategy::kHash;
   ExpectBoundaryClean(db, "join(r, r2, V = W)", forced);
+  PlanOptions nested;
+  nested.force_join_strategy = JoinStrategy::kNestedLoop;
+  ExpectBoundaryClean(db, "join(r, r2, V = W)", nested);
+  ExpectBoundaryClean(db, "product(r, r2)");
+  PlanOptions merge;
+  merge.force_join_strategy = JoinStrategy::kMerge;
+  ExpectBoundaryClean(db, "timejoin(tl, r2, At)", merge);
   // And the transposed shape: many probes, one build tuple.
   auto db2 = IntDb(2 * kB + 1);
   AddJoinPartner(db2, 1);
   ExpectBoundaryClean(db2, "join(r2, r, W = V)", forced);
+}
+
+TEST(BatchBoundaryTest, EmptyRightInputStillEvaluatesErroringLeft) {
+  // The right input is empty, so no pair can join — but the left input
+  // (a predicate on an unknown attribute) must still be evaluated, so the
+  // plan fails exactly like the materializing oracle, which evaluates
+  // both operands before applying the operator.
+  auto db = IntDb(kB + 1);
+  AddTimeLeft(db, kB + 1);
+  AddJoinPartner(db, 0);
+  PlanOptions nested;
+  nested.force_join_strategy = JoinStrategy::kNestedLoop;
+  PlanOptions merge;
+  merge.force_join_strategy = JoinStrategy::kMerge;
+  const std::pair<std::string, PlanOptions> cases[] = {
+      {"join(select_if(r, Bogus = 1, exists), r2, V = W)", nested},
+      {"product(select_if(r, Bogus = 1, exists), r2)", PlanOptions{}},
+      {"timejoin(select_if(tl, Bogus = 1, exists), r2, At)", merge},
+  };
+  for (const auto& [hrql, extra] : cases) {
+    SCOPED_TRACE(hrql);
+    auto expr = ParseExpr(hrql);
+    ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+    PlanOptions options = extra;
+    options.batch_size = kB;
+    const storage::DatabaseVersionPtr pin = db.CurrentVersion();
+    auto plan = Plan::Lower(*expr, VersionResolver(*pin), options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto drained = plan->Drain();
+    auto oracle = EvalMaterializing(*expr, VersionResolver(*pin));
+    ASSERT_FALSE(oracle.ok());
+    ASSERT_FALSE(drained.ok()) << "the empty right input skipped the left";
+    EXPECT_EQ(drained.status().ToString(), oracle.status().ToString());
+  }
 }
 
 TEST(BatchBoundaryTest, BatchSizeOneDegeneratesToTupleAtATime) {
@@ -255,7 +344,8 @@ TEST(BatchBoundaryTest, BatchSizeOneDegeneratesToTupleAtATime) {
   ASSERT_TRUE(expr.ok());
   PlanOptions options;
   options.batch_size = 1;
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db), options);
+  const storage::DatabaseVersionPtr pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin), options);
   ASSERT_TRUE(plan.ok());
   Relation got = DrainCheckingProtocol(*plan, 1);
   EXPECT_EQ(got.size(), kB + 1);

@@ -158,7 +158,8 @@ TEST_P(ConcurrencyFuzzTest, ReadersStayIsolatedAndWritersSerialize) {
           outcomes.reserve(QueryBattery().size());
           for (const std::string& q : QueryBattery()) {
             const std::string via_session = Outcome(s.Run(q));
-            const std::string via_replica = Outcome(query::Run(q, *replica));
+            const std::string via_replica =
+                Outcome(query::Run(q, *replica->CurrentVersion()));
             if (via_session != via_replica) {
               failed.store(true);
               FAIL() << "query '" << q

@@ -59,6 +59,7 @@ inline std::vector<size_t> BatchSizeAxis() { return {0, 1, 7, 1024}; }
 inline Result<Relation> RunBatchInvariant(const storage::Database& db,
                                           const query::ExprPtr& expr,
                                           const query::PlanOptions& options) {
+  const storage::DatabaseVersionPtr pin = db.CurrentVersion();
   std::optional<Relation> first;
   size_t first_batch = 0;
   for (size_t batch : BatchSizeAxis()) {
@@ -66,7 +67,7 @@ inline Result<Relation> RunBatchInvariant(const storage::Database& db,
     swept.batch_size = batch;
     HRDM_ASSIGN_OR_RETURN(
         query::Plan plan,
-        query::Plan::Lower(expr, query::DatabaseResolver(db), swept));
+        query::Plan::Lower(expr, query::VersionResolver(*pin), swept));
     HRDM_ASSIGN_OR_RETURN(Relation out, plan.Drain());
     if (!first) {
       first = std::move(out);
@@ -96,7 +97,8 @@ inline void ExpectMatchesOracle(const storage::Database& db,
                                 const Relation* reference) {
   auto expr = query::ParseExpr(hrql);
   ASSERT_TRUE(expr.ok()) << hrql << ": " << expr.status().ToString();
-  auto materialized = query::EvalMaterializing(*expr, db);
+  auto materialized = query::EvalMaterializing(
+      *expr, query::VersionResolver(*db.CurrentVersion()));
   ASSERT_TRUE(materialized.ok())
       << hrql << ": " << materialized.status().ToString();
   EXPECT_TRUE(materialized->EqualsAsSet(got))

@@ -30,11 +30,12 @@ constexpr char kIndexSeedEnv[] = "HRDM_INDEX_FUZZ_SEEDS";
 void ExpectIndexScanParity(const Database& db, const query::ExprPtr& expr) {
   auto eval = [&db, &expr](std::optional<query::AccessPath> force)
       -> Result<Relation> {
-    query::PlanOptions options = query::DatabasePlanOptions(db);
+    const auto pin = db.CurrentVersion();
+    query::PlanOptions options = query::VersionPlanOptions(*pin);
     options.force_access_path = force;
     HRDM_ASSIGN_OR_RETURN(
         query::Plan plan,
-        query::Plan::Lower(expr, query::DatabaseResolver(db), options));
+        query::Plan::Lower(expr, query::VersionResolver(*pin), options));
     return plan.Drain();
   };
   auto full = eval(query::AccessPath::kFullScan);

@@ -23,10 +23,10 @@ namespace hrdm::storage {
 namespace {
 
 using query::AccessPath;
-using query::DatabasePlanOptions;
-using query::DatabaseResolver;
 using query::Plan;
 using query::PlanOptions;
+using query::VersionPlanOptions;
+using query::VersionResolver;
 
 constexpr TimePoint kHorizon = 100;
 
@@ -251,10 +251,11 @@ TEST(ChooseAccessPathTest, TimeSliceUsesLifespanIndexAboveThreshold) {
 
 Result<Relation> EvalForced(const Database& db, const query::ExprPtr& expr,
                             std::optional<AccessPath> force) {
-  PlanOptions options = DatabasePlanOptions(db);
+  const auto pin = db.CurrentVersion();
+  PlanOptions options = VersionPlanOptions(*pin);
   options.force_access_path = force;
   HRDM_ASSIGN_OR_RETURN(Plan plan,
-                        Plan::Lower(expr, DatabaseResolver(db), options));
+                        Plan::Lower(expr, VersionResolver(*pin), options));
   return plan.Drain();
 }
 
@@ -362,9 +363,10 @@ TEST(DatabaseIndexTest, PlanStatsRecordTheChosenPath) {
   auto selectif = query::SelectIfE(
       query::Rel("obj"), Predicate::AttrConst("X", CompareOp::kEq, Value::Int(7)),
       Quantifier::kExists);
+  const auto pin = db.CurrentVersion();
   {
-    auto plan = Plan::Lower(selectif, DatabaseResolver(db),
-                            DatabasePlanOptions(db));
+    auto plan = Plan::Lower(selectif, VersionResolver(*pin),
+                            VersionPlanOptions(*pin));
     ASSERT_TRUE(plan.ok());
     auto rel = plan->Drain();
     ASSERT_TRUE(rel.ok());
@@ -378,7 +380,7 @@ TEST(DatabaseIndexTest, PlanStatsRecordTheChosenPath) {
                                  query::LsLiteral(Span(10, 12)));
   {
     auto plan =
-        Plan::Lower(slice, DatabaseResolver(db), DatabasePlanOptions(db));
+        Plan::Lower(slice, VersionResolver(*pin), VersionPlanOptions(*pin));
     ASSERT_TRUE(plan.ok());
     auto rel = plan->Drain();
     ASSERT_TRUE(rel.ok());
@@ -387,9 +389,9 @@ TEST(DatabaseIndexTest, PlanStatsRecordTheChosenPath) {
   }
   // force_access_path = kFullScan disables indexes entirely.
   {
-    PlanOptions options = DatabasePlanOptions(db);
+    PlanOptions options = VersionPlanOptions(*pin);
     options.force_access_path = AccessPath::kFullScan;
-    auto plan = Plan::Lower(selectif, DatabaseResolver(db), options);
+    auto plan = Plan::Lower(selectif, VersionResolver(*pin), options);
     ASSERT_TRUE(plan.ok());
     EXPECT_EQ(plan->stats().scans_full, 1u);
     EXPECT_EQ(plan->stats().scans_value_index, 0u);
@@ -438,8 +440,9 @@ TEST(IndexFedHashJoinTest, BuildSideServedFromValueIndex) {
   Result<Relation> baseline = EvalForced(db, join, AccessPath::kFullScan);
   ASSERT_TRUE(baseline.ok());
 
+  const auto pin = db.CurrentVersion();
   auto plan =
-      Plan::Lower(join, DatabaseResolver(db), DatabasePlanOptions(db));
+      Plan::Lower(join, VersionResolver(*pin), VersionPlanOptions(*pin));
   ASSERT_TRUE(plan.ok());
   auto fed = plan->Drain();
   ASSERT_TRUE(fed.ok()) << fed.status().ToString();

@@ -2,10 +2,11 @@
 // strategy (nested loop, hash, merge) must produce results tuple-for-tuple,
 // chronon-for-chronon identical to
 //  * each other,
-//  * the SELECT-WHEN ∘ × plan executed through ProductJoinCursor (the
-//    paper's Section 5 equivalence: JOIN ≡ the appropriate SELECT-WHEN of
-//    the Cartesian product),
-//  * the whole-relation ThetaJoin/EquiJoin/NaturalJoin/TimeJoin APIs,
+//  * the SELECT-WHEN ∘ × plan, × executed by the nested-loop join cursor
+//    (the paper's Section 5 equivalence: JOIN ≡ the appropriate
+//    SELECT-WHEN of the Cartesian product),
+//  * the whole-relation ThetaJoin/EquiJoin/NaturalJoin/TimeJoin APIs (and
+//    the bare product vs CartesianProduct),
 //  * the materializing interpreter,
 // with every plan execution swept over the batch-size axis (exact
 // rendered-output equality across sizes — see tests/differential_util.h).
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "algebra/join.h"
+#include "algebra/setops.h"
 #include "differential_util.h"
 #include "query/executor.h"
 #include "query/parser.h"
@@ -81,11 +83,22 @@ TEST(JoinDifferentialTest, RandomDatabases) {
     auto equi = EquiJoin(ra, "A0", rb, "B0");
     ASSERT_TRUE(equi.ok());
     ExpectAllStrategiesAgree(db, "join(ra, rb, A0 = B0)", &*equi);
-    // ...and vs SELECT-WHEN ∘ × through ProductJoinCursor (Section 5).
-    auto via_product = query::Run(
-        "select_when(product(ra, rb), A0 = B0)", db);
-    ASSERT_TRUE(via_product.ok());
-    EXPECT_TRUE(via_product->EqualsAsSet(*equi)) << "seed " << seed;
+    // ...and vs SELECT-WHEN ∘ × (Section 5), batch-size-swept.
+    const std::string via_product_q = "select_when(product(ra, rb), A0 = B0)";
+    auto via_product =
+        hrdm::testing::RunBatchInvariant(db, via_product_q, PlanOptions{});
+    ASSERT_TRUE(via_product.ok()) << via_product.status().ToString();
+    hrdm::testing::ExpectMatchesOracle(db, via_product_q, *via_product,
+                                       &*equi);
+
+    // The bare product vs the whole-relation CartesianProduct.
+    auto cart = CartesianProduct(ra, rb);
+    ASSERT_TRUE(cart.ok());
+    auto product =
+        hrdm::testing::RunBatchInvariant(db, "product(ra, rb)", PlanOptions{});
+    ASSERT_TRUE(product.ok()) << product.status().ToString();
+    hrdm::testing::ExpectMatchesOracle(db, "product(ra, rb)", *product,
+                                       &*cart);
 
     // General θ (no equi pattern → every strategy falls back identically,
     // but the whole-relation comparison still bites).
@@ -235,7 +248,8 @@ TEST(JoinEdgeCaseTest, NaturalJoinWithoutSharedAttributesIsProduct) {
   auto db = EdgeDb({{Span(0, 9), 1}}, {{Span(5, 14), 2}});
   auto expr = ParseExpr("natjoin(el, er)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   auto streamed = plan->Drain();
   ASSERT_TRUE(streamed.ok());

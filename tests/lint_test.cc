@@ -289,6 +289,62 @@ TEST(LintBannedTest, SubmitDeclarationIsNotATaskBody) {
   EXPECT_TRUE(Of(RunFiles(files), "banned-construct").empty());
 }
 
+TEST(LintBannedTest, TupleAtATimeProtocolInQueryFails) {
+  const std::vector<SourceFile> files = {
+      Clean("src/query/a.h", "class ScalarCursor;\n"),
+      Clean("src/query/b.h", "struct C { virtual int NextTuple() = 0; };\n"),
+      Clean("src/query/c.h", "struct C { Result<TuplePtr> Next(); };\n"),
+      Clean("src/query/d.cc",
+            "Result<TuplePtr> Cursor::Next() { return {}; }\n"),
+  };
+  const auto found = Of(RunFiles(files), "banned-construct");
+  ASSERT_EQ(found.size(), 4u);
+  EXPECT_TRUE(Mentions(found, "src/query/a.h: tuple-at-a-time"));
+  EXPECT_TRUE(Mentions(found, "src/query/b.h: tuple-at-a-time"));
+  EXPECT_TRUE(Mentions(found, "src/query/c.h: tuple-at-a-time"));
+  EXPECT_TRUE(Mentions(found, "src/query/d.cc: tuple-at-a-time"));
+}
+
+TEST(LintBannedTest, BatchProtocolInQueryPasses) {
+  // NextBatch, other Next-prefixed names, and the same constructs outside
+  // src/query are all fine.
+  const std::vector<SourceFile> files = {
+      Clean("src/query/plan.h",
+            "struct C {\n"
+            "  virtual Result<TupleBatch*> NextBatch() = 0;\n"
+            "  Result<TuplePtr> NextProbe();\n"
+            "};\n"),
+      Clean("src/util/random.h", "struct Rng { Result<TuplePtr> Next(); };\n"),
+  };
+  EXPECT_TRUE(Of(RunFiles(files), "banned-construct").empty());
+}
+
+TEST(LintBannedTest, LiveDatabaseReadInQueryFails) {
+  const std::vector<SourceFile> files = {
+      Clean("src/query/executor.h",
+            "#include \"storage/database.h\"\n"
+            "Result<Relation> Eval(const storage::Database& db);\n"),
+  };
+  const auto found = Of(RunFiles(files), "banned-construct");
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_TRUE(Mentions(found, "includes storage/database.h"));
+  EXPECT_TRUE(Mentions(found, "storage::Database in src/query"));
+}
+
+TEST(LintBannedTest, PinnedVersionReadInQueryPasses) {
+  // The pinned version is the query layer's read surface; layers above it
+  // (session) may still name the live Database.
+  const std::vector<SourceFile> files = {
+      Clean("src/query/executor.h",
+            "#include \"storage/database_version.h\"\n"
+            "Result<Relation> Eval(const storage::DatabaseVersion& v);\n"),
+      Clean("src/session/session.h",
+            "#include \"storage/database.h\"\n"
+            "void Open(const storage::Database& db);\n"),
+  };
+  EXPECT_TRUE(Of(RunFiles(files), "banned-construct").empty());
+}
+
 // --- doc-parity --------------------------------------------------------------
 
 TEST(LintDocParityTest, UndocumentedCounterFails) {

@@ -43,8 +43,9 @@ void ExpectSameAnswer(const std::string& hrql, const storage::Database& db) {
   ASSERT_TRUE(expr.ok()) << hrql;
   OptimizerStats stats;
   ExprPtr optimized = Optimize(*expr, &stats);
-  auto raw = Eval(*expr, db);
-  auto opt = Eval(optimized, db);
+  const auto pin = db.CurrentVersion();
+  auto raw = Eval(*expr, *pin);
+  auto opt = Eval(optimized, *pin);
   ASSERT_TRUE(raw.ok()) << hrql << ": " << raw.status().ToString();
   ASSERT_TRUE(opt.ok()) << optimized->ToString() << ": "
                         << opt.status().ToString();

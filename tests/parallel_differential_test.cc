@@ -128,7 +128,8 @@ TEST(ParallelPlanTest, ThresholdKeepsSmallPlansSerial) {
   ASSERT_TRUE(expr.ok());
   PlanOptions options;
   options.parallelism = 8;
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db), options);
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin), options);
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan->Drain().ok());
   EXPECT_EQ(plan->stats().parallelism, 1u);
@@ -144,7 +145,8 @@ TEST(ParallelPlanTest, ForcedParallelPlanRecordsMorselTraffic) {
   PlanOptions options;
   options.parallelism = 4;
   options.force_parallel = true;
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db), options);
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin), options);
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan->Drain().ok());
   const PlanStats& stats = plan->stats();
@@ -167,13 +169,14 @@ TEST(ParallelPlanTest, ExplicitSingleThreadMatchesDefaultSerialPlan) {
   auto db = RandomParallelDb(11);
   auto expr = ParseExpr("join(ra, rb, A0 = B0)");
   ASSERT_TRUE(expr.ok());
-  auto legacy = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto legacy = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(legacy.ok());
   auto legacy_out = legacy->Drain();
   ASSERT_TRUE(legacy_out.ok());
   PlanOptions options;
   options.parallelism = 1;
-  auto single = Plan::Lower(*expr, DatabaseResolver(db), options);
+  auto single = Plan::Lower(*expr, VersionResolver(*pin), options);
   ASSERT_TRUE(single.ok());
   auto single_out = single->Drain();
   ASSERT_TRUE(single_out.ok());

@@ -92,8 +92,9 @@ void ExpectParity(const storage::Database& db, const std::string& hrql) {
   auto expr = ParseExpr(hrql);
   ASSERT_TRUE(expr.ok()) << hrql << ": " << expr.status().ToString();
 
-  auto streamed = Eval(*expr, db);
-  auto materialized = EvalMaterializing(*expr, db);
+  const auto pin = db.CurrentVersion();
+  auto streamed = Eval(*expr, *pin);
+  auto materialized = EvalMaterializing(*expr, VersionResolver(*pin));
   ASSERT_EQ(streamed.ok(), materialized.ok())
       << hrql << ": " << streamed.status().ToString() << " vs "
       << materialized.status().ToString();
@@ -106,7 +107,7 @@ void ExpectParity(const storage::Database& db, const std::string& hrql) {
   // The optimizer's rewrite of the same tree must stream to the same
   // answer too.
   ExprPtr optimized = Optimize(*expr);
-  auto opt_streamed = Eval(optimized, DatabaseResolver(db));
+  auto opt_streamed = Eval(optimized, *pin);
   ASSERT_TRUE(opt_streamed.ok()) << hrql;
   EXPECT_TRUE(opt_streamed->EqualsAsSet(*materialized))
       << hrql << " (optimized: " << optimized->ToString() << ")";
@@ -187,7 +188,8 @@ TEST(PlanStreamingTest, DeepUnaryPipelineBuffersNothing) {
   auto expr = ParseExpr(
       "project(select_when(timeslice(r0, {[5,50]}), A0 >= 20), Id, A0)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   auto rel = plan->Drain();
   ASSERT_TRUE(rel.ok());
@@ -205,7 +207,8 @@ TEST(PlanStreamingTest, LongerChainStillStreams) {
       "project(select_if(select_when(timeslice(dynslice(r0, Ref), "
       "{[0,55]}), A0 >= 10), A1 >= 0, exists), Id)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   auto rel = plan->Drain();
   ASSERT_TRUE(rel.ok());
@@ -216,7 +219,8 @@ TEST(PlanStreamingTest, BlockingOperatorsAccountForBuffering) {
   auto db = RandomDb(3);
   auto expr = ParseExpr("union(r0, r1)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   auto rel = plan->Drain();
   ASSERT_TRUE(rel.ok());
@@ -228,12 +232,17 @@ TEST(PlanStreamingTest, ProductBuffersOnlyRightInput) {
   auto db = JoinDb(11);
   auto expr = ParseExpr("product(lft, rgt)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   auto rel = plan->Drain();
   ASSERT_TRUE(rel.ok());
   const size_t right_size = (*db.Get("rgt"))->size();
   EXPECT_EQ(plan->stats().peak_buffered, right_size);
+  // × lowers to the nested-loop join cursor, which tests every pair.
+  const size_t left_size = (*db.Get("lft"))->size();
+  EXPECT_EQ(plan->stats().joins_nested_loop, 1u);
+  EXPECT_EQ(plan->stats().join_pairs_tested, left_size * right_size);
 }
 
 TEST(PlanStreamingTest, HashJoinBuffersOnlyBuildSide) {
@@ -242,7 +251,8 @@ TEST(PlanStreamingTest, HashJoinBuffersOnlyBuildSide) {
   // strategy and builds on the smaller input (rgt, 6 < 8 tuples).
   auto expr = ParseExpr("join(lft, rgt, LV = RV)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan->Drain().ok());
   EXPECT_EQ(plan->stats().joins_hash, 1u);
@@ -262,7 +272,8 @@ TEST(PlanStreamingTest, NestedLoopJoinBuffersOnlyRightInput) {
   // only the right input — better than draining both sides whole).
   auto expr = ParseExpr("join(lft, rgt, LV >= RV)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan->Drain().ok());
   EXPECT_EQ(plan->stats().joins_nested_loop, 1u);
@@ -278,7 +289,8 @@ TEST(PlanStreamingTest, MergeStrategySelectedForTimeJoin) {
   auto db = JoinDb(11);
   auto expr = ParseExpr("timejoin(lft, rgt, Ref)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan->Drain().ok());
   EXPECT_EQ(plan->stats().joins_merge, 1u);
@@ -297,7 +309,8 @@ TEST(PlanStreamingTest, ForcedStrategyFallsBackWhenIneligible) {
   ASSERT_TRUE(expr.ok());
   PlanOptions options;
   options.force_join_strategy = JoinStrategy::kHash;
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db), options);
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin), options);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->stats().joins_hash, 0u);
   EXPECT_EQ(plan->stats().joins_nested_loop, 1u);
@@ -310,7 +323,8 @@ TEST(PlanStreamingTest, WhenWindowBufferingIsCounted) {
   // streaming, and the counter must not pretend it is).
   auto expr = ParseExpr("timeslice(r0, when(select_when(r1, A0 >= 0)))");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan->Drain().ok());
   EXPECT_GT(plan->stats().peak_buffered, 0u);
@@ -319,17 +333,18 @@ TEST(PlanStreamingTest, WhenWindowBufferingIsCounted) {
 
 TEST(PlanStreamingTest, ErrorsPropagateFromCursors) {
   auto db = RandomDb(1);
-  // Unknown predicate attribute: surfaces from Next(), not Lower().
+  // Unknown predicate attribute: surfaces from Drain(), not Lower().
   auto expr = ParseExpr("select_if(r0, Bogus = 1, exists)");
   ASSERT_TRUE(expr.ok());
-  auto plan = Plan::Lower(*expr, DatabaseResolver(db));
+  const auto pin = db.CurrentVersion();
+  auto plan = Plan::Lower(*expr, VersionResolver(*pin));
   ASSERT_TRUE(plan.ok());
   EXPECT_FALSE(plan->Drain().ok());
   // Incompatible schemes: surfaces at plan-build time with the same error
   // the whole-relation operator raises.
   auto bad = ParseExpr("union(r0, project(r0, Id))");
   ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(Plan::Lower(*bad, DatabaseResolver(db)).ok());
+  EXPECT_FALSE(Plan::Lower(*bad, VersionResolver(*pin)).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +364,7 @@ TEST(CowRelationTest, CopySharesTuples) {
 TEST(CowRelationTest, BareRelationRefDoesNotDeepCopy) {
   auto db = RandomDb(5);
   const Relation* stored = *db.Get("r0");
-  auto result = hrdm::query::Run("r0", db);
+  auto result = hrdm::query::Run("r0", *db.CurrentVersion());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), stored->size());
   for (size_t i = 0; i < result->size(); ++i) {

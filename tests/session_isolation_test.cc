@@ -63,7 +63,7 @@ std::string SessionOutcome(const Session& s, const std::string& q) {
 }
 
 std::string DatabaseOutcome(const Database& db, const std::string& q) {
-  return Outcome(query::Run(q, db));
+  return Outcome(query::Run(q, *db.CurrentVersion()));
 }
 
 // Builds a small populated database: obj with three tuples + both indexes.

@@ -28,7 +28,12 @@
 ///    reports through `util::Status`), and blocking calls (locks, sleeps,
 ///    file I/O) inside worker-pool task lambdas (`Submit`/
 ///    `ParallelMorsels` bodies must stay pure leaf kernels — that
-///    invariant is why the shared pool cannot deadlock).
+///    invariant is why the shared pool cannot deadlock). In `src/query`
+///    additionally: any second, tuple-at-a-time cursor protocol
+///    (`ScalarCursor`, `NextTuple`, a `Result<TuplePtr> Next(` member —
+///    `NextBatch()` is the one protocol), and any read against the live
+///    database (`storage::Database`, `#include "storage/database.h"` — the
+///    read surface is a pinned `storage::DatabaseVersion`).
 ///  * **doc-parity** — every `PlanStats` counter field must be mentioned
 ///    in `docs/ARCHITECTURE.md` (the EXPLAIN surface is documentation;
 ///    an undocumented counter is a doc bug, exactly like an undocumented
@@ -500,8 +505,35 @@ inline void CheckClosedEnumDefault(
   }
 }
 
+/// True if a `Result<TuplePtr>` return type starts at `pos` and declares or
+/// defines a function named `Next` (plain or qualified, e.g. `Cursor::Next`).
+inline bool TupleAtATimeNextAt(std::string_view code, size_t pos) {
+  constexpr std::string_view kType = "Result<TuplePtr>";
+  if (code.compare(pos, kType.size(), kType) != 0) return false;
+  size_t p = pos + kType.size();
+  while (p < code.size() && std::isspace(static_cast<unsigned char>(
+                                code[p])) != 0) {
+    ++p;
+  }
+  const size_t name_begin = p;
+  while (p < code.size() &&
+         (internal::IsIdentChar(code[p]) || code[p] == ':')) {
+    ++p;
+  }
+  const std::string_view name = code.substr(name_begin, p - name_begin);
+  const bool qualified =
+      name.size() > 6 && name.substr(name.size() - 6) == "::Next";
+  if (name != "Next" && !qualified) return false;
+  while (p < code.size() && std::isspace(static_cast<unsigned char>(
+                                code[p])) != 0) {
+    ++p;
+  }
+  return p < code.size() && code[p] == '(';
+}
+
 /// banned-construct: naked new/delete, non-harness RNG, stderr printf in
-/// library code, blocking calls inside worker-pool task lambdas.
+/// library code, blocking calls inside worker-pool task lambdas, and — in
+/// src/query — a tuple-at-a-time cursor protocol or a live-database read.
 inline void CheckBannedConstructs(
     const std::vector<SourceFile>& files,
     const std::map<std::string, std::string>& stripped,
@@ -513,10 +545,24 @@ inline void CheckBannedConstructs(
   for (const SourceFile& f : files) {
     const std::string& code = stripped.at(f.path);
     const bool in_tests = f.path.rfind("tests/", 0) == 0;
+    const bool in_query = f.path.rfind("src/query/", 0) == 0;
     auto add = [&](size_t pos, const std::string& message) {
       findings->push_back({f.path, LineOf(code, pos), "banned-construct",
                            message, LineTextAt(f.content, pos)});
     };
+    if (in_query) {
+      for (const internal::IncludeRef& inc :
+           internal::QuotedIncludes(f.path, f.content)) {
+        if (inc.raw == "storage/database.h") {
+          findings->push_back(
+              {f.path, inc.line, "banned-construct",
+               "src/query includes storage/database.h — the query layer "
+               "reads a pinned storage::DatabaseVersion "
+               "(storage/database_version.h), never the live Database",
+               "#include \"" + inc.raw + "\""});
+        }
+      }
+    }
     for (size_t pos = 0; pos < code.size(); ++pos) {
       if (WordAt(code, pos, "new")) {
         // `new X(...)` — ownership must go through std::make_unique /
@@ -559,6 +605,21 @@ inline void CheckBannedConstructs(
                     "through tests/test_seeds.h (seed-reproducible fuzz)"
                   : "global RNG — use util/random.h (seedable, "
                     "deterministic)");
+        }
+      }
+      if (in_query) {
+        if (WordAt(code, pos, "ScalarCursor") ||
+            WordAt(code, pos, "NextTuple") ||
+            TupleAtATimeNextAt(code, pos)) {
+          add(pos,
+              "tuple-at-a-time cursor protocol in src/query — cursors "
+              "implement only NextBatch(); consumers index into the "
+              "pulled batch");
+        }
+        if (WordAt(code, pos, "storage::Database")) {
+          add(pos,
+              "storage::Database in src/query — the read surface is a "
+              "pinned storage::DatabaseVersion");
         }
       }
       if (code.compare(pos, 7, "fprintf") == 0 && !in_tests) {
