@@ -8,28 +8,21 @@
 // materializing interpreter, which re-materializes the whole input
 // relation per operator. The differential suite (tests/aggregate_test.cc)
 // asserts both paths return identical relations; here we measure.
-//
-// Like bench_executor/bench_join/bench_scan this is a self-contained
-// harness (no google-benchmark): it emits machine-readable
-// BENCH_aggregate.json (per-path ops/sec, result tuples, groups built,
-// per-chronon fallback activations) so later PRs can track the perf
-// trajectory.
+// Writes BENCH_aggregate.json (per-path throughput and latency, result
+// tuples, groups built, per-chronon fallback activations).
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "query/executor.h"
 #include "query/parser.h"
-#include "query/plan.h"
 #include "storage/database.h"
 #include "util/random.h"
 
 namespace hrdm {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 constexpr size_t kTuples = 20000;
 constexpr TimePoint kHorizon = 5000;
@@ -85,83 +78,6 @@ storage::Database MakeAggDb(uint64_t seed) {
   return db;
 }
 
-struct PathResult {
-  double ops_per_sec = 0;
-  size_t result_tuples = 0;
-  size_t groups = 0;
-  size_t fallback_tuples = 0;
-  size_t peak_buffered = 0;
-};
-
-/// Runs `hrql` through the streaming plan `iterations` times.
-PathResult RunStreaming(const storage::Database& db, const std::string& hrql,
-                        int iterations) {
-  PathResult out;
-  auto expr = query::ParseExpr(hrql);
-  if (!expr.ok()) {
-    std::fprintf(stderr, "parse failed: %s\n",
-                 expr.status().ToString().c_str());
-    return out;
-  }
-  const auto pin = db.CurrentVersion();
-  const query::PlanResolver resolver = query::VersionResolver(*pin);
-  const query::PlanOptions options = query::VersionPlanOptions(*pin);
-  {
-    auto plan = query::Plan::Lower(*expr, resolver, options);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "lowering failed: %s\n",
-                   plan.status().ToString().c_str());
-      return out;
-    }
-    auto warm = plan->Drain();
-    if (!warm.ok()) {
-      std::fprintf(stderr, "eval failed: %s\n",
-                   warm.status().ToString().c_str());
-      return out;
-    }
-    out.result_tuples = warm->size();
-    out.groups = plan->stats().agg_groups_built;
-    out.fallback_tuples = plan->stats().agg_fallback_tuples;
-    out.peak_buffered = plan->stats().peak_buffered;
-  }
-  const auto start = Clock::now();
-  for (int i = 0; i < iterations; ++i) {
-    auto plan = query::Plan::Lower(*expr, resolver, options);
-    auto r = plan->Drain();
-    if (!r.ok() || r->size() != out.result_tuples) std::abort();
-  }
-  const std::chrono::duration<double> elapsed = Clock::now() - start;
-  out.ops_per_sec = iterations / elapsed.count();
-  return out;
-}
-
-/// Runs `hrql` through the materializing interpreter `iterations` times.
-PathResult RunMaterializing(const storage::Database& db,
-                            const std::string& hrql, int iterations) {
-  PathResult out;
-  auto expr = query::ParseExpr(hrql);
-  if (!expr.ok()) return out;
-  const auto pin = db.CurrentVersion();
-  const query::PlanResolver resolver = query::VersionResolver(*pin);
-  {
-    auto warm = query::EvalMaterializing(*expr, resolver);
-    if (!warm.ok()) {
-      std::fprintf(stderr, "eval failed: %s\n",
-                   warm.status().ToString().c_str());
-      return out;
-    }
-    out.result_tuples = warm->size();
-  }
-  const auto start = Clock::now();
-  for (int i = 0; i < iterations; ++i) {
-    auto r = query::EvalMaterializing(*expr, resolver);
-    if (!r.ok() || r->size() != out.result_tuples) std::abort();
-  }
-  const std::chrono::duration<double> elapsed = Clock::now() - start;
-  out.ops_per_sec = iterations / elapsed.count();
-  return out;
-}
-
 }  // namespace
 }  // namespace hrdm
 
@@ -169,11 +85,11 @@ int main() {
   using namespace hrdm;
 
   struct Workload {
-    std::string name;
-    std::string hrql;
-    int iterations;
+    const char* name;
+    const char* hrql;
+    int reps;
   };
-  std::vector<Workload> workloads = {
+  const Workload workloads[] = {
       // Ungrouped: one historical tuple; the COUNT sweep is O(n log n).
       {"count_ungrouped_20k", "aggregate(emp, count)", 20},
       {"avg_salary_ungrouped_20k", "aggregate(emp, avg Salary)", 10},
@@ -185,54 +101,42 @@ int main() {
        "aggregate(timeslice(emp, {[2000, 2999]}), count by Dept)", 20},
   };
 
-  auto db = MakeAggDb(/*seed=*/1);
+  const auto db = MakeAggDb(/*seed=*/1);
+  const auto pin = db.CurrentVersion();
+  const query::PlanResolver resolver = query::VersionResolver(*pin);
 
-  std::string json =
-      "{\n  \"benchmark\": \"aggregate\",\n  \"tuples\": 20000,\n"
-      "  \"workloads\": [\n";
-  bool first = true;
+  std::vector<bench::Json> rows;
   for (const Workload& w : workloads) {
-    const PathResult streaming = RunStreaming(db, w.hrql, w.iterations);
-    const PathResult materializing =
-        RunMaterializing(db, w.hrql, w.iterations);
-    const double ratio = materializing.ops_per_sec > 0
-                             ? streaming.ops_per_sec / materializing.ops_per_sec
-                             : 0;
+    const query::ExprPtr expr = *query::ParseExpr(w.hrql);
+    query::PlanStats stats;
+    const bench::Timing streaming = bench::TimePlan(
+        expr, resolver, query::VersionPlanOptions(*pin), w.reps, &stats);
+    const bench::Timing materializing = bench::TimeReps(w.reps, [&] {
+      return query::EvalMaterializing(expr, resolver)->size();
+    });
+    const double ratio = streaming.ops_per_sec / materializing.ops_per_sec;
 
     std::printf(
         "%-26s | streaming %8.2f ops/s (%5zu groups, %5zu fallback, peak "
         "%6zu) | materializing %8.2f ops/s | %.2fx\n",
-        w.name.c_str(), streaming.ops_per_sec, streaming.groups,
-        streaming.fallback_tuples, streaming.peak_buffered,
+        w.name, streaming.ops_per_sec, stats.agg_groups_built,
+        stats.agg_fallback_tuples, stats.peak_buffered,
         materializing.ops_per_sec, ratio);
-
-    if (!first) json += ",\n";
-    first = false;
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\n      \"name\": \"%s\",\n      \"hrql\": \"%s\",\n"
-        "      \"streaming\": {\"ops_per_sec\": %.2f, \"result_tuples\": "
-        "%zu, \"groups\": %zu, \"fallback_tuples\": %zu, \"peak_buffered\": "
-        "%zu},\n"
-        "      \"materializing\": {\"ops_per_sec\": %.2f, \"result_tuples\": "
-        "%zu},\n"
-        "      \"streaming_vs_materializing\": %.3f\n    }",
-        w.name.c_str(), w.hrql.c_str(), streaming.ops_per_sec,
-        streaming.result_tuples, streaming.groups, streaming.fallback_tuples,
-        streaming.peak_buffered, materializing.ops_per_sec,
-        materializing.result_tuples, ratio);
-    json += buf;
+    rows.push_back(bench::Json::Object(
+        {{"name", w.name},
+         {"hrql", w.hrql},
+         {"streaming",
+          bench::Json::Of(streaming,
+                          {{"result_tuples", streaming.result},
+                           {"groups", stats.agg_groups_built},
+                           {"fallback_tuples", stats.agg_fallback_tuples},
+                           {"peak_buffered", stats.peak_buffered}})},
+         {"materializing",
+          bench::Json::Of(materializing,
+                          {{"result_tuples", materializing.result}})},
+         {"streaming_vs_materializing", ratio}}));
   }
-  json += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen("BENCH_aggregate.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_aggregate.json\n");
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote BENCH_aggregate.json\n");
+  bench::WriteBenchJson("aggregate", {{"tuples", kTuples},
+                                      {"workloads", bench::Json::Array(rows)}});
   return 0;
 }

@@ -9,38 +9,36 @@
 // reader counts {1, 2, 4} against writer counts {0, 1, 2} and report p50 /
 // p99 / max read latency plus aggregate read and write throughput per
 // cell. The writer workload is a steady stream of logged temporal
-// assignments (FsyncPolicy::kBatched, as a durable deployment would run).
+// assignments (FsyncPolicy::kBatched, as a durable deployment would run),
+// each drawn inside its object's lifespan so every one commits: Assign
+// rejects a span that escapes the lifespan, and a failed Assign aborts
+// the run.
 //
 // What to look for: p50/p99 at W writers staying within noise of the
 // 0-writer column (snapshot isolation means no reader/writer contention),
 // and write throughput independent of reader count. The correctness side
 // of the same story is tests/concurrency_fuzz_test.cc; here we measure.
 //
-// Like the other bench_* binaries this is a self-contained harness (no
-// google-benchmark): it emits machine-readable BENCH_concurrency.json.
-// Scratch space: $HRDM_BENCH_DIR, else $TMPDIR, else /tmp.
+// Writes BENCH_concurrency.json. Scratch space: $HRDM_BENCH_DIR, else
+// $TMPDIR, else /tmp.
 
-#include <atomic>
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include <unistd.h>
-
-#include "query/executor.h"
+#include "bench/bench_util.h"
 #include "session/session.h"
 #include "storage/storage_engine.h"
-#include "util/file.h"
 #include "util/random.h"
 
 namespace hrdm {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using bench::Check;
 using session::Session;
 using storage::FsyncPolicy;
 using storage::StorageEngine;
@@ -49,89 +47,44 @@ constexpr TimePoint kHorizon = 1000;
 constexpr int kObjects = 2000;
 constexpr double kCellSeconds = 0.8;  // measured window per grid cell
 
-/// A fresh scratch directory under $HRDM_BENCH_DIR / $TMPDIR / /tmp.
-std::string MakeScratchDir() {
-  const char* base = std::getenv("HRDM_BENCH_DIR");
-  if (base == nullptr || *base == '\0') base = std::getenv("TMPDIR");
-  if (base == nullptr || *base == '\0') base = "/tmp";
-  std::string tmpl = std::string(base) + "/hrdm_bench_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  if (mkdtemp(buf.data()) == nullptr) {
-    std::perror("mkdtemp");
-    std::exit(1);
-  }
-  return std::string(buf.data());
-}
-
-void RemoveScratchDir(const std::string& dir) {
-  auto entries = util::ListDir(dir);
-  if (entries.ok()) {
-    for (const std::string& name : *entries) {
-      (void)util::RemoveFileIfExists(dir + "/" + name);
-    }
-  }
-  ::rmdir(dir.c_str());
-}
-
 std::string KeyOf(int i) { return "obj" + std::to_string(i); }
+
+/// One object's lifespan [begin, end]: the range a writer's Assign must
+/// stay inside.
+using Bounds = std::pair<TimePoint, TimePoint>;
 
 /// Seeds the engine with `kObjects` stepwise-salary objects plus both
 /// index kinds, so the read query exercises the full pinned surface.
-void Populate(StorageEngine& engine, uint64_t seed) {
+/// Returns each object's lifespan, indexed like KeyOf.
+std::vector<Bounds> Populate(StorageEngine& engine, uint64_t seed) {
   Rng rng(seed);
   const Lifespan full = Span(0, kHorizon - 1);
-  if (!engine
-           .CreateRelation(
-               "emp",
-               {{"Id", DomainType::kString, full,
-                 InterpolationKind::kDiscrete},
-                {"Salary", DomainType::kInt, full,
-                 InterpolationKind::kStepwise}},
-               {"Id"})
-           .ok()) {
-    std::abort();
-  }
+  Check(engine.CreateRelation(
+      "emp",
+      {{"Id", DomainType::kString, full, InterpolationKind::kDiscrete},
+       {"Salary", DomainType::kInt, full, InterpolationKind::kStepwise}},
+      {"Id"}));
   auto scheme = *engine.db().catalog().Get("emp");
+  std::vector<Bounds> lifespans;
   for (int i = 0; i < kObjects; ++i) {
     const TimePoint b = rng.Uniform(0, kHorizon / 2);
     const TimePoint e = rng.Uniform(b, kHorizon - 1);
     Tuple::Builder tb(scheme, Span(b, e));
     tb.SetConstant("Id", Value::String(KeyOf(i)));
     tb.SetAt("Salary", b, Value::Int(rng.Uniform(30, 200) * 1000));
-    if (!engine.Insert("emp", *std::move(tb).Build()).ok()) std::abort();
+    Check(engine.Insert("emp", *std::move(tb).Build()));
+    lifespans.emplace_back(b, e);
   }
-  if (!engine.CreateLifespanIndex("emp").ok()) std::abort();
-  if (!engine.CreateValueIndex("emp", "Salary").ok()) std::abort();
-}
-
-struct CellResult {
-  int readers = 0;
-  int writers = 0;
-  size_t reads = 0;
-  size_t commits = 0;
-  double seconds = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  double max_us = 0;
-};
-
-double PercentileUs(std::vector<double>& sorted_us, double q) {
-  if (sorted_us.empty()) return 0;
-  const size_t idx = std::min(
-      sorted_us.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(sorted_us.size() - 1)));
-  return sorted_us[idx];
+  Check(engine.CreateLifespanIndex("emp"));
+  Check(engine.CreateValueIndex("emp", "Salary"));
+  return lifespans;
 }
 
 /// One grid cell: `readers` session-per-query reader threads against
 /// `writers` sustained-DML threads for ~kCellSeconds.
-CellResult RunCell(StorageEngine& engine, int readers, int writers,
-                   const std::string& hrql) {
-  CellResult out;
-  out.readers = readers;
-  out.writers = writers;
-
+bench::Json RunCell(StorageEngine& engine,
+                    const std::vector<Bounds>& lifespans, int readers,
+                    int writers, const std::string& hrql) {
   std::atomic<bool> stop{false};
   std::atomic<size_t> commits{0};
   std::vector<std::vector<double>> latencies(
@@ -144,32 +97,27 @@ CellResult RunCell(StorageEngine& engine, int readers, int writers,
       Rng rng(1000u + static_cast<uint64_t>(w));
       while (!stop.load(std::memory_order_relaxed)) {
         const int id = static_cast<int>(rng.Uniform(0, kObjects - 1));
-        const TimePoint b = rng.Uniform(0, kHorizon - 2);
-        const TimePoint e =
-            std::min<TimePoint>(kHorizon - 1, b + rng.Uniform(0, 20));
-        if (engine
-                .Assign("emp", {Value::String(KeyOf(id))}, "Salary",
-                        Span(b, e), Value::Int(rng.Uniform(30, 200) * 1000))
-                .ok()) {
-          commits.fetch_add(1, std::memory_order_relaxed);
-        }
+        const auto [lo, hi] = lifespans[static_cast<size_t>(id)];
+        const TimePoint b = rng.Uniform(lo, hi);
+        const TimePoint e = std::min<TimePoint>(hi, b + rng.Uniform(0, 20));
+        Check(engine.Assign("emp", {Value::String(KeyOf(id))}, "Salary",
+                            Span(b, e),
+                            Value::Int(rng.Uniform(30, 200) * 1000)));
+        commits.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
-  const auto start = Clock::now();
+  const auto start = bench::Clock::now();
   for (int r = 0; r < readers; ++r) {
     threads.emplace_back([&, r] {
       std::vector<double>& mine = latencies[static_cast<size_t>(r)];
       mine.reserve(1 << 14);
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto t0 = Clock::now();
-        Session s = Session::Open(engine);
-        auto result = s.Run(hrql);
-        const std::chrono::duration<double, std::micro> dt =
-            Clock::now() - t0;
-        if (!result.ok()) std::abort();
-        mine.push_back(dt.count());
+        mine.push_back(bench::TimeUs([&] {
+          Session s = Session::Open(engine);
+          Check(s.Run(hrql).status());
+        }));
       }
     });
   }
@@ -177,19 +125,24 @@ CellResult RunCell(StorageEngine& engine, int readers, int writers,
   std::this_thread::sleep_for(std::chrono::duration<double>(kCellSeconds));
   stop.store(true);
   for (std::thread& t : threads) t.join();
-  out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  const double seconds = bench::SecondsSince(start);
 
   std::vector<double> all;
   for (const std::vector<double>& v : latencies) {
     all.insert(all.end(), v.begin(), v.end());
   }
-  std::sort(all.begin(), all.end());
-  out.reads = all.size();
-  out.commits = commits.load();
-  out.p50_us = PercentileUs(all, 0.50);
-  out.p99_us = PercentileUs(all, 0.99);
-  out.max_us = all.empty() ? 0 : all.back();
-  return out;
+  const bench::Timing read = bench::Summarize(all, seconds);
+  const double commits_per_sec = commits.load() / seconds;
+  std::printf(
+      "%dR x %dW | read p50 %8.1f us | p99 %8.1f us | max %9.1f us | "
+      "%8.0f reads/s | %7.0f commits/s\n",
+      readers, writers, read.p50_us, read.p99_us, read.max_us,
+      read.ops_per_sec, commits_per_sec);
+  return bench::Json::Object({{"readers", readers},
+                              {"writers", writers},
+                              {"read", bench::Json::Of(read)},
+                              {"commits_per_sec", commits_per_sec},
+                              {"commits", commits.load()}});
 }
 
 }  // namespace
@@ -198,75 +151,23 @@ CellResult RunCell(StorageEngine& engine, int readers, int writers,
 int main() {
   using namespace hrdm;
 
-  const std::string dir = MakeScratchDir();
+  const std::string dir = bench::MakeScratchDir();
   StorageEngine::Options options;
   options.fsync = FsyncPolicy::kBatched;
-  auto opened = StorageEngine::Open(dir, options);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "engine open failed: %s\n",
-                 opened.status().ToString().c_str());
-    return 1;
-  }
-  StorageEngine engine = std::move(opened).value();
-  Populate(engine, /*seed=*/1);
+  StorageEngine engine = StorageEngine::Open(dir, options).value();
+  const std::vector<Bounds> lifespans = Populate(engine, /*seed=*/1);
 
   const std::string hrql = "timeslice(emp, {[100, 140]})";
-  const std::vector<int> reader_counts = {1, 2, 4};
-  const std::vector<int> writer_counts = {0, 1, 2};
-  const unsigned hw = std::thread::hardware_concurrency();
-
-  std::string json = "{\n  \"benchmark\": \"concurrency\",\n";
-  {
-    char meta[320];
-    std::snprintf(meta, sizeof(meta),
-                  "  \"hardware_concurrency\": %u,\n"
-                  "  \"objects\": %d,\n"
-                  "  \"hrql\": \"%s\",\n"
-                  "  \"fsync\": \"batched\",\n"
-                  "  \"cells\": [\n",
-                  hw, kObjects, hrql.c_str());
-    json += meta;
-  }
-  std::printf("hardware_concurrency: %u\n", hw);
-
-  bool first = true;
-  for (int readers : reader_counts) {
-    for (int writers : writer_counts) {
-      const CellResult c = RunCell(engine, readers, writers, hrql);
-      const double reads_per_sec =
-          c.seconds > 0 ? static_cast<double>(c.reads) / c.seconds : 0;
-      const double commits_per_sec =
-          c.seconds > 0 ? static_cast<double>(c.commits) / c.seconds : 0;
-      std::printf(
-          "%dR x %dW | read p50 %8.1f us | p99 %8.1f us | max %9.1f us | "
-          "%8.0f reads/s | %7.0f commits/s\n",
-          readers, writers, c.p50_us, c.p99_us, c.max_us, reads_per_sec,
-          commits_per_sec);
-      if (!first) json += ",\n";
-      first = false;
-      char buf[400];
-      std::snprintf(
-          buf, sizeof(buf),
-          "    {\"readers\": %d, \"writers\": %d, \"read_p50_us\": %.1f, "
-          "\"read_p99_us\": %.1f, \"read_max_us\": %.1f, "
-          "\"reads_per_sec\": %.0f, \"commits_per_sec\": %.0f, "
-          "\"reads\": %zu, \"commits\": %zu}",
-          c.readers, c.writers, c.p50_us, c.p99_us, c.max_us, reads_per_sec,
-          commits_per_sec, c.reads, c.commits);
-      json += buf;
+  std::vector<bench::Json> cells;
+  for (int readers : {1, 2, 4}) {
+    for (int writers : {0, 1, 2}) {
+      cells.push_back(RunCell(engine, lifespans, readers, writers, hrql));
     }
   }
-  json += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen("BENCH_concurrency.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_concurrency.json\n");
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote BENCH_concurrency.json\n");
-
-  RemoveScratchDir(dir);
+  bench::WriteBenchJson("concurrency", {{"objects", kObjects},
+                                        {"hrql", hrql},
+                                        {"fsync", "batched"},
+                                        {"cells", bench::Json::Array(cells)}});
+  bench::RemoveScratchDir(dir);
   return 0;
 }

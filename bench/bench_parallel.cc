@@ -9,36 +9,27 @@
 // exact legacy serial path; every other run must produce the same result
 // cardinality, and its speedup is reported relative to it.
 //
-// Speedups scale with the machine: `hardware_concurrency` is recorded in
-// the JSON metadata precisely so a 1-core container's ~1.0x ratios are not
-// mistaken for a regression — on an N-core runner the scan/join/aggregate
-// workloads are embarrassingly parallel per morsel and approach min(N,
-// threads)x. The differential suite (tests/parallel_differential_test.cc)
-// asserts result identity; here we measure.
-//
-// Like bench_executor/bench_join/bench_scan/bench_aggregate this is a
-// self-contained harness (no google-benchmark): it emits machine-readable
-// BENCH_parallel.json (per-workload, per-thread-count ops/sec with
-// speedup-vs-serial ratios, morsel counts) so later PRs can track the perf
-// trajectory.
+// Speedups scale with the machine: the host block's `hardware_concurrency`
+// keeps a 1-core container's ~1.0x ratios from being mistaken for a
+// regression — on an N-core runner the scan/join/aggregate workloads are
+// embarrassingly parallel per morsel and approach min(N, threads)x. The
+// differential suite (tests/parallel_differential_test.cc) asserts result
+// identity; here we measure. Writes BENCH_parallel.json (per-workload,
+// per-thread-count throughput and latency with speedup-vs-serial ratios,
+// morsel counts).
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "query/executor.h"
 #include "query/parser.h"
-#include "query/plan.h"
 #include "storage/database.h"
 #include "util/random.h"
 
 namespace hrdm {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 constexpr TimePoint kHorizon = 5000;
 constexpr TimePoint kLifespanWidth = 200;
@@ -143,56 +134,6 @@ storage::Database MakeJoinDb(uint64_t seed) {
   return db;
 }
 
-struct ThreadResult {
-  double ops_per_sec = 0;
-  size_t result_tuples = 0;
-  size_t effective_parallelism = 0;
-  size_t morsels = 0;
-};
-
-/// Runs `hrql` with PlanOptions::parallelism = `threads`, `iterations`
-/// timed drains after a warm-up that records result size and morsel stats.
-ThreadResult RunAtThreads(const storage::Database& db, const std::string& hrql,
-                          size_t threads, int iterations) {
-  ThreadResult out;
-  auto expr = query::ParseExpr(hrql);
-  if (!expr.ok()) {
-    std::fprintf(stderr, "parse failed: %s\n",
-                 expr.status().ToString().c_str());
-    return out;
-  }
-  const auto pin = db.CurrentVersion();
-  const query::PlanResolver resolver = query::VersionResolver(*pin);
-  query::PlanOptions options;
-  options.parallelism = threads;
-  {
-    auto plan = query::Plan::Lower(*expr, resolver, options);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "lowering failed: %s\n",
-                   plan.status().ToString().c_str());
-      return out;
-    }
-    auto warm = plan->Drain();
-    if (!warm.ok()) {
-      std::fprintf(stderr, "eval failed: %s\n",
-                   warm.status().ToString().c_str());
-      return out;
-    }
-    out.result_tuples = warm->size();
-    out.effective_parallelism = plan->stats().parallelism;
-    out.morsels = plan->stats().morsels_dispatched;
-  }
-  const auto start = Clock::now();
-  for (int i = 0; i < iterations; ++i) {
-    auto plan = query::Plan::Lower(*expr, resolver, options);
-    auto r = plan->Drain();
-    if (!r.ok() || r->size() != out.result_tuples) std::abort();
-  }
-  const std::chrono::duration<double> elapsed = Clock::now() - start;
-  out.ops_per_sec = iterations / elapsed.count();
-  return out;
-}
-
 }  // namespace
 }  // namespace hrdm
 
@@ -201,16 +142,16 @@ int main() {
 
   const std::vector<size_t> thread_counts = {1, 2, 4, 8};
   struct Workload {
-    std::string name;
-    std::string hrql;
+    const char* name;
+    const char* hrql;
     const storage::Database* db;
-    int iterations;
+    int reps;
   };
 
   auto emp_db = MakeEmpDb(/*seed=*/1);
   auto join_db = MakeJoinDb(/*seed=*/2);
 
-  std::vector<Workload> workloads = {
+  const Workload workloads[] = {
       // Scan: 20k-tuple interpolation pass, split into ~10 morsels.
       {"scan_20k", "emp", &emp_db, 8},
       // Scan feeding a streaming restriction (the parallel leaf under a
@@ -223,64 +164,42 @@ int main() {
       {"count_by_dept_20k", "aggregate(emp, count by Dept)", &emp_db, 4},
   };
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const char* env_threads = std::getenv("HRDM_THREADS");
-
-  std::string json = "{\n  \"benchmark\": \"parallel\",\n";
-  {
-    char meta[256];
-    std::snprintf(meta, sizeof(meta),
-                  "  \"hardware_concurrency\": %u,\n"
-                  "  \"hrdm_threads_env\": \"%s\",\n"
-                  "  \"thread_counts\": [1, 2, 4, 8],\n"
-                  "  \"workloads\": [\n",
-                  hw, env_threads != nullptr ? env_threads : "");
-    json += meta;
-  }
-  std::printf("hardware_concurrency: %u\n", hw);
-
-  bool first_workload = true;
+  std::vector<bench::Json> rows;
   for (const Workload& w : workloads) {
+    const query::ExprPtr expr = *query::ParseExpr(w.hrql);
+    const auto pin = w.db->CurrentVersion();
+    const query::PlanResolver resolver = query::VersionResolver(*pin);
     double serial_ops = 0;
-    if (!first_workload) json += ",\n";
-    first_workload = false;
-    json += "    {\n      \"name\": \"" + w.name + "\",\n      \"hrql\": \"" +
-            w.hrql + "\",\n      \"threads\": [\n";
-    bool first_threads = true;
+    std::vector<bench::Json> per_thread;
     for (size_t threads : thread_counts) {
-      const ThreadResult r = RunAtThreads(*w.db, w.hrql, threads,
-                                          w.iterations);
-      if (threads == 1) serial_ops = r.ops_per_sec;
-      const double speedup =
-          serial_ops > 0 ? r.ops_per_sec / serial_ops : 0;
+      query::PlanOptions options;
+      options.parallelism = threads;
+      query::PlanStats stats;
+      const bench::Timing t =
+          bench::TimePlan(expr, resolver, options, w.reps, &stats);
+      if (threads == 1) serial_ops = t.ops_per_sec;
+      const double speedup = t.ops_per_sec / serial_ops;
       std::printf(
           "%-20s @ %zu thr | %8.2f ops/s | speedup %5.2fx | eff. par %zu | "
           "%4zu morsels | %7zu tuples\n",
-          w.name.c_str(), threads, r.ops_per_sec, speedup,
-          r.effective_parallelism, r.morsels, r.result_tuples);
-      if (!first_threads) json += ",\n";
-      first_threads = false;
-      char buf[320];
-      std::snprintf(
-          buf, sizeof(buf),
-          "        {\"threads\": %zu, \"ops_per_sec\": %.2f, "
-          "\"speedup_vs_serial\": %.3f, \"effective_parallelism\": %zu, "
-          "\"morsels_dispatched\": %zu, \"result_tuples\": %zu}",
-          threads, r.ops_per_sec, speedup, r.effective_parallelism, r.morsels,
-          r.result_tuples);
-      json += buf;
+          w.name, threads, t.ops_per_sec, speedup, stats.parallelism,
+          stats.morsels_dispatched, t.result);
+      per_thread.push_back(bench::Json::Of(
+          t, {{"threads", threads},
+              {"speedup_vs_serial", speedup},
+              {"effective_parallelism", stats.parallelism},
+              {"morsels_dispatched", stats.morsels_dispatched},
+              {"result_tuples", t.result}}));
     }
-    json += "\n      ]\n    }";
+    rows.push_back(bench::Json::Object(
+        {{"name", w.name},
+         {"hrql", w.hrql},
+         {"threads", bench::Json::Array(std::move(per_thread))}}));
   }
-  json += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen("BENCH_parallel.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_parallel.json\n");
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote BENCH_parallel.json\n");
+  bench::WriteBenchJson(
+      "parallel",
+      {{"thread_counts",
+        bench::Json::Array({thread_counts.begin(), thread_counts.end()})},
+       {"workloads", bench::Json::Array(rows)}});
   return 0;
 }

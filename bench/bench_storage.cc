@@ -10,19 +10,15 @@
 // collapses, which is itself useful: it isolates the software overhead
 // from the disk.
 //
-// Like bench_executor/bench_parallel this is a self-contained harness (no
-// google-benchmark): it prints a table and emits machine-readable
-// BENCH_storage.json. Scratch space: $HRDM_BENCH_DIR, else $TMPDIR, else
-// /tmp.
+// Prints a table and writes BENCH_storage.json. Scratch space:
+// $HRDM_BENCH_DIR, else $TMPDIR, else /tmp.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
+#include "bench/bench_util.h"
 #include "storage/changelog.h"
 #include "storage/database.h"
 #include "storage/serializer.h"
@@ -36,36 +32,12 @@
 namespace hrdm::storage {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using bench::Check;
+using bench::Json;
+using bench::TimeReps;
+using bench::Timing;
 
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// A fresh scratch directory under $HRDM_BENCH_DIR / $TMPDIR / /tmp.
-std::string MakeScratchDir() {
-  const char* base = std::getenv("HRDM_BENCH_DIR");
-  if (base == nullptr || *base == '\0') base = std::getenv("TMPDIR");
-  if (base == nullptr || *base == '\0') base = "/tmp";
-  std::string tmpl = std::string(base) + "/hrdm_bench_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  if (mkdtemp(buf.data()) == nullptr) {
-    std::perror("mkdtemp");
-    std::exit(1);
-  }
-  return std::string(buf.data());
-}
-
-void RemoveScratchDir(const std::string& dir) {
-  auto entries = util::ListDir(dir);
-  if (entries.ok()) {
-    for (const std::string& name : *entries) {
-      (void)util::RemoveFileIfExists(dir + "/" + name);
-    }
-  }
-  ::rmdir(dir.c_str());
-}
+constexpr double kMiB = 1 << 20;
 
 Database MakeDb(int employees, uint64_t seed = 1) {
   Rng rng(seed);
@@ -80,48 +52,28 @@ Database MakeDb(int employees, uint64_t seed = 1) {
   return db;
 }
 
-struct SnapshotResult {
-  int employees = 0;
-  size_t bytes = 0;
-  double encode_mb_s = 0;
-  double decode_mb_s = 0;
-};
-
-SnapshotResult BenchSnapshot(int employees, int iterations) {
-  SnapshotResult out;
-  out.employees = employees;
-  Database db = MakeDb(employees);
+Json BenchSnapshot(int employees, int reps) {
+  const Database db = MakeDb(employees);
   const std::string image = db.EncodeSnapshot();
-  out.bytes = image.size();
-  {
-    const auto start = Clock::now();
-    for (int i = 0; i < iterations; ++i) {
-      std::string buf = db.EncodeSnapshot();
-      if (buf.size() != out.bytes) std::abort();
-    }
-    out.encode_mb_s =
-        (static_cast<double>(out.bytes) * iterations / (1 << 20)) /
-        SecondsSince(start);
-  }
-  {
-    const auto start = Clock::now();
-    for (int i = 0; i < iterations; ++i) {
-      auto decoded = Database::DecodeSnapshot(image);
-      if (!decoded.ok()) std::abort();
-    }
-    out.decode_mb_s =
-        (static_cast<double>(out.bytes) * iterations / (1 << 20)) /
-        SecondsSince(start);
-  }
-  return out;
+  const Timing encode =
+      TimeReps(reps, [&] { return db.EncodeSnapshot().size(); });
+  const Timing decode = TimeReps(reps, [&] {
+    Check(Database::DecodeSnapshot(image).status());
+    return image.size();
+  });
+  const double encode_mb_s = image.size() * encode.ops_per_sec / kMiB;
+  const double decode_mb_s = image.size() * decode.ops_per_sec / kMiB;
+  std::printf(
+      "snapshot %5d emp | %8zu bytes | encode %7.1f MB/s | decode %7.1f "
+      "MB/s\n",
+      employees, image.size(), encode_mb_s, decode_mb_s);
+  return Json::Object({{"employees", employees},
+                       {"bytes", image.size()},
+                       {"encode", Json::Of(encode, {{"mb_s", encode_mb_s}})},
+                       {"decode", Json::Of(decode, {{"mb_s", decode_mb_s}})}});
 }
 
-struct ReplayResult {
-  size_t records = 0;
-  double records_per_sec = 0;
-};
-
-ReplayResult BenchReplay(int employees, int iterations) {
+Json BenchReplay(int employees, int reps) {
   LoggedDatabase ldb;
   (void)ldb.CreateRelation(
       "emp",
@@ -138,84 +90,76 @@ ReplayResult BenchReplay(int employees, int iterations) {
     (void)ldb.Assign("emp", {Value::String("e" + std::to_string(i))},
                      "Salary", Span(0, 49), Value::Int(i));
   }
-  ReplayResult out;
-  out.records = ldb.log().size();
-  const auto start = Clock::now();
-  for (int i = 0; i < iterations; ++i) {
+  const size_t records = ldb.log().size();
+  const Timing t = TimeReps(reps, [&] {
     Database replayed;
-    if (!ldb.log().Replay(&replayed).ok()) std::abort();
-  }
-  out.records_per_sec =
-      static_cast<double>(out.records) * iterations / SecondsSince(start);
-  return out;
+    Check(ldb.log().Replay(&replayed));
+    return records;
+  });
+  const double records_per_sec = records * t.ops_per_sec;
+  std::printf("changelog replay  | %8zu records | %10.0f records/s\n",
+              records, records_per_sec);
+  return Json::Of(t, {{"records", records},
+                      {"records_per_sec", records_per_sec}});
 }
 
-struct DurableInsertResult {
-  std::string fsync;
-  int inserts = 0;
-  double inserts_per_sec = 0;
-  size_t wal_bytes = 0;
-  double recover_ms = 0;
-  double checkpoint_ms = 0;
-};
-
-/// `n` engine inserts (each one WAL append + policy fsync), then a timed
-/// recovery (Open = read + replay the log) and a timed checkpoint.
-DurableInsertResult BenchDurableInserts(FsyncPolicy policy, int n) {
-  DurableInsertResult out;
-  out.fsync = std::string(FsyncPolicyName(policy));
-  out.inserts = n;
-  const std::string dir = MakeScratchDir();
+/// `n` timed engine inserts (each one WAL append + policy fsync; one more
+/// untimed warm-up insert precedes them), then a timed recovery (Open =
+/// read + replay the log) and a timed checkpoint.
+Json BenchDurableInserts(FsyncPolicy policy, int n) {
+  const std::string dir = bench::MakeScratchDir();
   StorageEngine::Options options;
   options.fsync = policy;
-  std::string wal_path;
+  Timing inserts;
+  size_t wal_bytes = 0;
   {
-    auto engine = StorageEngine::Open(dir, options);
-    if (!engine.ok()) std::abort();
+    auto engine = StorageEngine::Open(dir, options).value();
     const Lifespan full = Span(0, 999);
-    if (!engine
-             ->CreateRelation("emp",
-                              {{"Name", DomainType::kString, full,
-                                InterpolationKind::kDiscrete},
-                               {"Salary", DomainType::kInt, full,
-                                InterpolationKind::kStepwise}},
-                              {"Name"})
-             .ok()) {
-      std::abort();
-    }
-    auto scheme = *engine->db().catalog().Get("emp");
-    // Build the tuples up front so the timed loop is engine + WAL only.
+    Check(engine.CreateRelation(
+        "emp",
+        {{"Name", DomainType::kString, full, InterpolationKind::kDiscrete},
+         {"Salary", DomainType::kInt, full, InterpolationKind::kStepwise}},
+        {"Name"}));
+    auto scheme = *engine.db().catalog().Get("emp");
+    // Build the tuples up front so the timed ops are engine + WAL only.
     std::vector<Tuple> tuples;
-    tuples.reserve(n);
+    tuples.reserve(n + 1);
     Rng rng(7);
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i <= n; ++i) {
       Tuple::Builder b(scheme, Span(i % 500, 500 + i % 500));
       b.SetConstant("Name", Value::String("e" + std::to_string(i)));
       b.SetAt("Salary", i % 500, Value::Int(rng.Uniform(30, 200) * 1000));
       tuples.push_back(*std::move(b).Build());
     }
-    const auto start = Clock::now();
-    for (Tuple& t : tuples) {
-      if (!engine->Insert("emp", std::move(t)).ok()) std::abort();
-    }
-    out.inserts_per_sec = n / SecondsSince(start);
-    wal_path = engine->wal_path();
-    auto size = util::AppendFile::Open(wal_path);
-    if (size.ok()) out.wal_bytes = size->Size().ValueOr(0);
+    size_t next = 0;
+    inserts = TimeReps(n, [&] {
+      Check(engine.Insert("emp", std::move(tuples[next++])));
+      return size_t{1};
+    });
+    auto wal = util::AppendFile::Open(engine.wal_path());
+    if (wal.ok()) wal_bytes = wal->Size().ValueOr(0);
   }
-  {
-    const auto start = Clock::now();
-    auto engine = StorageEngine::Open(dir, options);
-    if (!engine.ok() || engine->wal_records() != static_cast<uint64_t>(n) + 1) {
-      std::abort();
-    }
-    out.recover_ms = SecondsSince(start) * 1000;
-    const auto cp_start = Clock::now();
-    if (!engine->Checkpoint().ok()) std::abort();
-    out.checkpoint_ms = SecondsSince(cp_start) * 1000;
-  }
-  RemoveScratchDir(dir);
-  return out;
+  std::optional<StorageEngine> engine;
+  const double recover_ms = bench::TimeUs([&] {
+    engine.emplace(StorageEngine::Open(dir, options).value());
+    // The CREATE, the warm-up insert and the n timed inserts.
+    if (engine->wal_records() != static_cast<uint64_t>(n) + 2) std::abort();
+  }) / 1000;
+  const double checkpoint_ms =
+      bench::TimeUs([&] { Check(engine->Checkpoint()); }) / 1000;
+  engine.reset();
+  bench::RemoveScratchDir(dir);
+
+  const std::string fsync(FsyncPolicyName(policy));
+  std::printf(
+      "durable insert (fsync=%-7s) | %6d inserts | %9.0f inserts/s | "
+      "wal %8zu B | recover %7.1f ms | checkpoint %6.1f ms\n",
+      fsync.c_str(), n, inserts.ops_per_sec, wal_bytes, recover_ms,
+      checkpoint_ms);
+  return Json::Of(inserts, {{"fsync", fsync},
+                            {"wal_bytes", wal_bytes},
+                            {"recover_ms", recover_ms},
+                            {"checkpoint_ms", checkpoint_ms}});
 }
 
 }  // namespace
@@ -224,74 +168,22 @@ DurableInsertResult BenchDurableInserts(FsyncPolicy policy, int n) {
 int main() {
   using namespace hrdm::storage;
 
-  std::string json = "{\n  \"benchmark\": \"storage\",\n  \"snapshot\": [\n";
-
-  bool first = true;
+  std::vector<Json> snapshots;
   for (int employees : {100, 1000, 5000}) {
-    const SnapshotResult r = BenchSnapshot(employees, employees <= 1000 ? 50 : 10);
-    std::printf(
-        "snapshot %5d emp | %8zu bytes | encode %7.1f MB/s | decode %7.1f "
-        "MB/s\n",
-        r.employees, r.bytes, r.encode_mb_s, r.decode_mb_s);
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "%s    {\"employees\": %d, \"bytes\": %zu, "
-                  "\"encode_mb_s\": %.1f, \"decode_mb_s\": %.1f}",
-                  first ? "" : ",\n", r.employees, r.bytes, r.encode_mb_s,
-                  r.decode_mb_s);
-    json += row;
-    first = false;
+    snapshots.push_back(BenchSnapshot(employees, employees <= 1000 ? 50 : 10));
   }
-  json += "\n  ],\n";
+  Json replay = BenchReplay(1000, 20);
 
-  {
-    const ReplayResult r = BenchReplay(1000, 20);
-    std::printf("changelog replay  | %8zu records | %10.0f records/s\n",
-                r.records, r.records_per_sec);
-    char row[160];
-    std::snprintf(row, sizeof(row),
-                  "  \"replay\": {\"records\": %zu, \"records_per_sec\": "
-                  "%.0f},\n",
-                  r.records, r.records_per_sec);
-    json += row;
-  }
-
-  json += "  \"durable_insert\": [\n";
-  first = true;
-  struct Config {
-    FsyncPolicy policy;
-    int inserts;
-  };
   // One fsync per record is orders of magnitude slower on real disks:
   // smaller n keeps the run bounded while still amortizing startup.
-  const Config configs[] = {{FsyncPolicy::kOff, 20000},
-                            {FsyncPolicy::kBatched, 20000},
-                            {FsyncPolicy::kAlways, 2000}};
-  for (const Config& c : configs) {
-    const DurableInsertResult r = BenchDurableInserts(c.policy, c.inserts);
-    std::printf(
-        "durable insert (fsync=%-7s) | %6d inserts | %9.0f inserts/s | "
-        "wal %8zu B | recover %7.1f ms | checkpoint %6.1f ms\n",
-        r.fsync.c_str(), r.inserts, r.inserts_per_sec, r.wal_bytes,
-        r.recover_ms, r.checkpoint_ms);
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "%s    {\"fsync\": \"%s\", \"inserts\": %d, "
-                  "\"inserts_per_sec\": %.0f, \"wal_bytes\": %zu, "
-                  "\"recover_ms\": %.1f, \"checkpoint_ms\": %.1f}",
-                  first ? "" : ",\n", r.fsync.c_str(), r.inserts,
-                  r.inserts_per_sec, r.wal_bytes, r.recover_ms,
-                  r.checkpoint_ms);
-    json += row;
-    first = false;
-  }
-  json += "\n  ]\n}\n";
+  std::vector<Json> durable;
+  durable.push_back(BenchDurableInserts(FsyncPolicy::kOff, 20000));
+  durable.push_back(BenchDurableInserts(FsyncPolicy::kBatched, 20000));
+  durable.push_back(BenchDurableInserts(FsyncPolicy::kAlways, 2000));
 
-  std::FILE* f = std::fopen("BENCH_storage.json", "w");
-  if (f != nullptr) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote BENCH_storage.json\n");
-  }
+  hrdm::bench::WriteBenchJson(
+      "storage", {{"snapshot", Json::Array(std::move(snapshots))},
+                  {"replay", std::move(replay)},
+                  {"durable_insert", Json::Array(std::move(durable))}});
   return 0;
 }

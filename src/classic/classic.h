@@ -23,8 +23,7 @@
 ///    with which the consistency theorem is phrased operationally:
 ///    `Snapshot(Op_H(r), now) == Op(Snapshot(r, now))` for every operator.
 ///
-/// These equivalences are verified exhaustively by tests/consistency_test.cc
-/// and measured by bench/bench_consistency.cc.
+/// These equivalences are verified exhaustively by tests/consistency_test.cc.
 
 #include <optional>
 #include <string>
