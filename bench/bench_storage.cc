@@ -74,26 +74,30 @@ Json BenchSnapshot(int employees, int reps) {
 }
 
 Json BenchReplay(int employees, int reps) {
-  LoggedDatabase ldb;
-  (void)ldb.CreateRelation(
+  // The records a logged history of `employees` births and salary
+  // assignments writes, replayed the way recovery replays a WAL tail.
+  auto scheme = *RelationScheme::Make(
       "emp",
       {{"Name", DomainType::kString, Span(0, 99),
         InterpolationKind::kDiscrete},
        {"Salary", DomainType::kInt, Span(0, 99),
         InterpolationKind::kStepwise}},
       {"Name"});
-  auto scheme = *ldb.db().catalog().Get("emp");
+  std::vector<std::string> log = {EncodeCreateRelationRecord(*scheme)};
   for (int i = 0; i < employees; ++i) {
     Tuple::Builder b(scheme, Span(0, 99));
     b.SetConstant("Name", Value::String("e" + std::to_string(i)));
-    (void)ldb.Insert("emp", *std::move(b).Build());
-    (void)ldb.Assign("emp", {Value::String("e" + std::to_string(i))},
-                     "Salary", Span(0, 49), Value::Int(i));
+    log.push_back(EncodeInsertRecord("emp", *std::move(b).Build()));
+    log.push_back(EncodeAssignRecord("emp",
+                                     {Value::String("e" + std::to_string(i))},
+                                     "Salary", Span(0, 49), Value::Int(i)));
   }
-  const size_t records = ldb.log().size();
+  const size_t records = log.size();
   const Timing t = TimeReps(reps, [&] {
     Database replayed;
-    Check(ldb.log().Replay(&replayed));
+    for (const std::string& record : log) {
+      Check(ApplyLogRecord(record, &replayed));
+    }
     return records;
   });
   const double records_per_sec = records * t.ops_per_sec;

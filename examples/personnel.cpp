@@ -9,12 +9,14 @@
 //   $ ./example_personnel
 
 #include <cstdio>
+#include <string>
 
 #include "algebra/when.h"
 #include "constraints/constraints.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "storage/database.h"
+#include "storage/snapshot.h"
 #include "util/pretty.h"
 
 using namespace hrdm;
@@ -42,6 +44,11 @@ int RealMain() {
        {"Dept", DomainType::kString, horizon,
         InterpolationKind::kStepwise}},
       {"Name"}));
+  // Access paths for time-slice and department lookups. Every mutation
+  // below keeps them in sync; the snapshot file at the end keeps their
+  // registrations.
+  CHECK_OK(db.CreateLifespanIndex("emp"));
+  CHECK_OK(db.CreateValueIndex("emp", "Dept"));
 
   // --- Birth: john is hired in 2001 ---------------------------------------
   auto scheme = *db.catalog().Get("emp");
@@ -125,13 +132,22 @@ int RealMain() {
   std::printf("%s\n", RenderHistory(*high).c_str());
 
   // --- Persistence -------------------------------------------------------------
-  CHECK_OK(db.Save("/tmp/personnel_snapshot.bin"));
-  auto reloaded = storage::Database::Load("/tmp/personnel_snapshot.bin");
+  // A snapshot file holds the data image plus the index registrations;
+  // loading it rebuilds the indexes from the decoded relations.
+  const std::string path = "/tmp/personnel_snapshot.hrdm";
+  CHECK_OK(storage::WriteSnapshotFile(path, db));
+  auto reloaded = storage::ReadSnapshotFile(path);
+  std::remove(path.c_str());
   CHECK_OK(reloaded.status());
-  std::printf("snapshot round-trip ok: %s\n",
-              (*reloaded->Get("emp"))->EqualsAsSet(emp) ? "yes" : "NO");
-  std::remove("/tmp/personnel_snapshot.bin");
-  return 0;
+  const auto indexes = db.catalog().Indexes("emp");
+  const auto reloaded_indexes = reloaded->catalog().Indexes("emp");
+  const bool same =
+      reloaded->ToString() == db.ToString() && indexes.has_value() &&
+      reloaded_indexes.has_value() &&
+      reloaded_indexes->lifespan == indexes->lifespan &&
+      reloaded_indexes->value_attrs == indexes->value_attrs;
+  std::printf("snapshot round-trip ok: %s\n", same ? "yes" : "NO");
+  return same ? 0 : 1;
 }
 
 }  // namespace

@@ -178,24 +178,6 @@ bool Relation::EqualsAsSet(const Relation& other) const {
   return true;
 }
 
-size_t Relation::ApproxBytes() const {
-  size_t bytes = 0;
-  for (const TuplePtr& tp : tuples_) {
-    const Tuple& t = *tp;
-    bytes += t.lifespan().IntervalCount() * sizeof(Interval);
-    for (size_t i = 0; i < t.arity(); ++i) {
-      for (const Segment& s : t.value(i).segments()) {
-        bytes += sizeof(Interval);
-        bytes += 8;  // value payload estimate
-        if (s.value.IsType(DomainType::kString)) {
-          bytes += s.value.AsString().size();
-        }
-      }
-    }
-  }
-  return bytes;
-}
-
 std::string Relation::ToString() const {
   std::string out = scheme_->ToString();
   out.push_back('\n');

@@ -151,10 +151,6 @@ class Relation {
   /// of tuples (order-insensitive).
   bool EqualsAsSet(const Relation& other) const;
 
-  /// \brief Total bytes of representation-level storage (intervals and
-  /// values), used by the granularity benchmarks.
-  size_t ApproxBytes() const;
-
   /// \brief Whether this relation is already at the model level (every
   /// tuple's values materialized via interpolation). Algebra operators mark
   /// their outputs materialized so interpolation is applied exactly once —

@@ -229,7 +229,8 @@ ScanCursor::ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples,
 }
 
 ScanCursor::~ScanCursor() {
-  if (parallel_primed_) stats_->OnRelease(tuples_.size());
+  // Only the interpolated copies never streamed out are still buffered.
+  if (parallel_primed_) stats_->OnRelease(tuples_.size() - pos_);
 }
 
 Result<TupleBatch*> ScanCursor::NextBatch() {
@@ -237,13 +238,17 @@ Result<TupleBatch*> ScanCursor::NextBatch() {
     parallel_primed_ = true;
     HRDM_RETURN_IF_ERROR(ParallelMaterialize(tuples_, parallelism_, stats_));
     materialized_ = true;
-    stats_->OnBuffer(tuples_.size());  // interpolated copies, held till death
+    stats_->OnBuffer(tuples_.size());  // interpolated copies, not yet emitted
   }
   if (pos_ >= tuples_.size()) return nullptr;
   const size_t n = std::min(ctx_->batch_size, tuples_.size() - pos_);
   batch_.clear();
   if (materialized_) {
-    for (size_t i = 0; i < n; ++i) batch_.push_back(tuples_[pos_ + i]);
+    // The scan never rewinds, so each handle moves out as it is emitted.
+    for (size_t i = 0; i < n; ++i) {
+      batch_.push_back(std::move(tuples_[pos_ + i]));
+    }
+    if (parallel_primed_) stats_->OnRelease(n);
   } else {
     // Representation → model mapping (Figure 9), one tight loop per batch.
     // MaterializedShared memoizes per stored tuple, so re-scanning a

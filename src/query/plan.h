@@ -359,7 +359,7 @@ using CursorPtr = std::unique_ptr<Cursor>;
 /// `parallelism > 1` the whole interpolation pass instead runs up front,
 /// morsel-parallel on the worker pool (per-morsel output slots, so tuple
 /// order is unchanged), and the materialized tuples stream from the buffer
-/// (accounted in PlanStats until the cursor dies).
+/// (accounted in PlanStats until each one is emitted).
 class ScanCursor : public Cursor {
  public:
   ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples,

@@ -102,8 +102,9 @@ class Session {
     return version_->CheckIntegrity();
   }
 
-  /// \brief Serializes the snapshot (same format as Database::Save — a
-  /// consistent online backup that never blocks writers).
+  /// \brief Serializes the snapshot (the data image of
+  /// Database::EncodeSnapshot — a consistent online backup that never
+  /// blocks writers).
   std::string EncodeSnapshot() const { return version_->EncodeSnapshot(); }
 
   /// \brief Canonical rendering of the snapshot; byte-stable for the whole

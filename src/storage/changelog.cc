@@ -241,203 +241,4 @@ Status ApplyLogRecord(std::string_view record, Database* db) {
   return Status::Corruption("unknown log record kind");
 }
 
-// --- ChangeLog ---------------------------------------------------------------
-
-std::string ChangeLog::Encode() const {
-  std::string out;
-  for (const std::string& rec : records_) {
-    PutString(&out, rec);
-  }
-  return out;
-}
-
-Result<ChangeLog> ChangeLog::Decode(std::string_view data) {
-  ChangeLog log;
-  Reader r(data);
-  while (!r.AtEnd()) {
-    auto rec = r.GetString();
-    if (!rec.ok()) {
-      // Torn tail: keep everything decoded so far.
-      break;
-    }
-    log.records_.push_back(std::move(rec).value());
-  }
-  return log;
-}
-
-Status ChangeLog::SaveTo(const std::string& path) const {
-  return WriteFile(path, Encode());
-}
-
-Result<ChangeLog> ChangeLog::LoadFrom(const std::string& path) {
-  HRDM_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  return Decode(data);
-}
-
-void ChangeLog::LogCreateRelation(const RelationScheme& scheme) {
-  records_.push_back(EncodeCreateRelationRecord(scheme));
-}
-
-void ChangeLog::LogDropRelation(std::string_view name) {
-  records_.push_back(EncodeDropRelationRecord(name));
-}
-
-void ChangeLog::LogInsert(std::string_view relation, const Tuple& t) {
-  records_.push_back(EncodeInsertRecord(relation, t));
-}
-
-void ChangeLog::LogAssign(std::string_view relation,
-                          const std::vector<Value>& key,
-                          std::string_view attr, const Lifespan& span,
-                          const Value& value) {
-  records_.push_back(EncodeAssignRecord(relation, key, attr, span, value));
-}
-
-void ChangeLog::LogEndLifespan(std::string_view relation,
-                               const std::vector<Value>& key, TimePoint at) {
-  records_.push_back(EncodeEndLifespanRecord(relation, key, at));
-}
-
-void ChangeLog::LogReincarnate(std::string_view relation,
-                               const std::vector<Value>& key,
-                               const Lifespan& span) {
-  records_.push_back(EncodeReincarnateRecord(relation, key, span));
-}
-
-void ChangeLog::LogAddAttribute(std::string_view relation,
-                                const AttributeDef& def) {
-  records_.push_back(EncodeAddAttributeRecord(relation, def));
-}
-
-void ChangeLog::LogCloseAttribute(std::string_view relation,
-                                  std::string_view attr, TimePoint at) {
-  records_.push_back(EncodeCloseAttributeRecord(relation, attr, at));
-}
-
-void ChangeLog::LogReopenAttribute(std::string_view relation,
-                                   std::string_view attr,
-                                   const Lifespan& span) {
-  records_.push_back(EncodeReopenAttributeRecord(relation, attr, span));
-}
-
-void ChangeLog::LogRegisterForeignKey(const ForeignKey& fk) {
-  records_.push_back(EncodeRegisterForeignKeyRecord(fk));
-}
-
-void ChangeLog::LogCreateLifespanIndex(std::string_view relation) {
-  records_.push_back(EncodeCreateLifespanIndexRecord(relation));
-}
-
-void ChangeLog::LogCreateValueIndex(std::string_view relation,
-                                    std::string_view attr) {
-  records_.push_back(EncodeCreateValueIndexRecord(relation, attr));
-}
-
-Status ChangeLog::Replay(Database* db) const {
-  for (const std::string& rec : records_) {
-    HRDM_RETURN_IF_ERROR(ApplyLogRecord(rec, db));
-  }
-  return Status::OK();
-}
-
-// --- LoggedDatabase ---------------------------------------------------------
-
-Status LoggedDatabase::CreateRelation(std::string name,
-                                      std::vector<AttributeDef> attributes,
-                                      std::vector<std::string> key) {
-  HRDM_ASSIGN_OR_RETURN(SchemePtr scheme,
-                        RelationScheme::Make(std::move(name),
-                                             std::move(attributes),
-                                             std::move(key)));
-  HRDM_RETURN_IF_ERROR(db_.CreateRelation(scheme));
-  log_.LogCreateRelation(*scheme);
-  return Status::OK();
-}
-
-Status LoggedDatabase::DropRelation(std::string_view name) {
-  HRDM_RETURN_IF_ERROR(db_.DropRelation(name));
-  log_.LogDropRelation(name);
-  return Status::OK();
-}
-
-Status LoggedDatabase::Insert(std::string_view relation, Tuple t) {
-  // Apply first (on a copy), log only successful mutations.
-  Tuple copy = t;
-  HRDM_RETURN_IF_ERROR(db_.Insert(relation, std::move(copy)));
-  log_.LogInsert(relation, t);
-  return Status::OK();
-}
-
-Status LoggedDatabase::Assign(std::string_view relation,
-                              const std::vector<Value>& key,
-                              std::string_view attr, const Lifespan& span,
-                              const Value& value) {
-  HRDM_RETURN_IF_ERROR(db_.Assign(relation, key, attr, span, value));
-  log_.LogAssign(relation, key, attr, span, value);
-  return Status::OK();
-}
-
-Status LoggedDatabase::EndLifespan(std::string_view relation,
-                                   const std::vector<Value>& key,
-                                   TimePoint at) {
-  HRDM_RETURN_IF_ERROR(db_.EndLifespan(relation, key, at));
-  log_.LogEndLifespan(relation, key, at);
-  return Status::OK();
-}
-
-Status LoggedDatabase::Reincarnate(std::string_view relation,
-                                   const std::vector<Value>& key,
-                                   const Lifespan& span) {
-  HRDM_RETURN_IF_ERROR(db_.Reincarnate(relation, key, span));
-  log_.LogReincarnate(relation, key, span);
-  return Status::OK();
-}
-
-Status LoggedDatabase::AddAttribute(std::string_view relation,
-                                    AttributeDef def) {
-  AttributeDef copy = def;
-  HRDM_RETURN_IF_ERROR(db_.AddAttribute(relation, std::move(copy)));
-  log_.LogAddAttribute(relation, def);
-  return Status::OK();
-}
-
-Status LoggedDatabase::CloseAttribute(std::string_view relation,
-                                      std::string_view attr, TimePoint at) {
-  HRDM_RETURN_IF_ERROR(db_.CloseAttribute(relation, attr, at));
-  log_.LogCloseAttribute(relation, attr, at);
-  return Status::OK();
-}
-
-Status LoggedDatabase::ReopenAttribute(std::string_view relation,
-                                       std::string_view attr,
-                                       const Lifespan& span) {
-  HRDM_RETURN_IF_ERROR(db_.ReopenAttribute(relation, attr, span));
-  log_.LogReopenAttribute(relation, attr, span);
-  return Status::OK();
-}
-
-Status LoggedDatabase::RegisterForeignKey(std::string child,
-                                          std::vector<std::string> attrs,
-                                          std::string parent) {
-  ForeignKey fk{child, attrs, parent};
-  HRDM_RETURN_IF_ERROR(db_.RegisterForeignKey(std::move(child),
-                                              std::move(attrs),
-                                              std::move(parent)));
-  log_.LogRegisterForeignKey(fk);
-  return Status::OK();
-}
-
-Status LoggedDatabase::CreateLifespanIndex(std::string_view relation) {
-  HRDM_RETURN_IF_ERROR(db_.CreateLifespanIndex(relation));
-  log_.LogCreateLifespanIndex(relation);
-  return Status::OK();
-}
-
-Status LoggedDatabase::CreateValueIndex(std::string_view relation,
-                                        std::string_view attr) {
-  HRDM_RETURN_IF_ERROR(db_.CreateValueIndex(relation, attr));
-  log_.LogCreateValueIndex(relation, attr);
-  return Status::OK();
-}
-
 }  // namespace hrdm::storage

@@ -2,24 +2,24 @@
 #define HRDM_STORAGE_CHANGELOG_H_
 
 /// \file changelog.h
-/// \brief Operation log for Database: durability by replay.
+/// \brief Logical log records for Database: durability by replay.
 ///
-/// Every mutating Database operation has a corresponding log record. A log
-/// replayed onto an empty Database reproduces the database state exactly
-/// (verified by the recovery suites: tests/crash_recovery_test.cc,
-/// tests/recovery_differential_test.cc and the replay equivalence check in
-/// tests/dml_fuzz_test.cc), which gives crash recovery: persist each
-/// record through the write-ahead log (storage/wal.h), occasionally
-/// checkpoint via storage/snapshot.h; on restart, load the snapshot and
-/// replay the WAL tail. `StorageEngine` (storage/storage_engine.h) is the
-/// facade that wires these pieces together.
+/// Every mutating Database operation has a corresponding log record. The
+/// records of a history, applied in order to an empty Database, reproduce
+/// the database state exactly (verified by the recovery suites:
+/// tests/crash_recovery_test.cc, tests/recovery_differential_test.cc and
+/// the replay equivalence check in tests/dml_fuzz_test.cc), which gives
+/// crash recovery: persist each record through the write-ahead log
+/// (storage/wal.h), occasionally checkpoint via storage/snapshot.h; on
+/// restart, load the snapshot and replay the WAL tail. `StorageEngine`
+/// (storage/storage_engine.h) is the facade that wires these pieces
+/// together and the only writer of records.
 ///
 /// This file owns the *logical record format*: `Encode*Record` builds one
 /// self-contained byte string per life-cycle operation and
-/// `ApplyLogRecord` interprets one against a Database. The in-memory
-/// `ChangeLog` (length-prefixed concatenation, torn final record dropped
-/// on decode) remains for tests and replay benchmarks; the durable framing
-/// (CRC, fsync) lives in storage/wal.h.
+/// `ApplyLogRecord` interprets one against a Database. The on-disk framing
+/// (CRC, torn-tail detection, fsync) lives in storage/wal.h;
+/// `ReadWal(...).records` hands the records back for replay.
 ///
 /// Layer contract: sits beside Database at the top of the storage engine
 /// and records the paper's life-cycle events (§1–2: birth, death,
@@ -90,97 +90,6 @@ std::string EncodeCreateValueIndexRecord(std::string_view relation,
 /// \brief Decodes one record and applies it to `db`. Returns Corruption on
 /// malformed bytes; otherwise whatever the Database operation returns.
 Status ApplyLogRecord(std::string_view record, Database* db);
-
-/// \brief An append-only operation log.
-class ChangeLog {
- public:
-  /// \brief Number of records.
-  size_t size() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
-
-  /// \brief The encoded records, in append order.
-  const std::vector<std::string>& records() const { return records_; }
-
-  /// \brief Raw encoded bytes of the whole log (length-prefixed records).
-  std::string Encode() const;
-
-  /// \brief Decodes a log buffer. A truncated final record is dropped
-  /// silently (torn write); any other corruption is an error.
-  static Result<ChangeLog> Decode(std::string_view data);
-
-  Status SaveTo(const std::string& path) const;
-  static Result<ChangeLog> LoadFrom(const std::string& path);
-
-  /// \brief Applies every record, in order, to `db`.
-  Status Replay(Database* db) const;
-
-  // --- record builders (called by LoggedDatabase) ---------------------------
-
-  void LogCreateRelation(const RelationScheme& scheme);
-  void LogDropRelation(std::string_view name);
-  void LogInsert(std::string_view relation, const Tuple& t);
-  void LogAssign(std::string_view relation, const std::vector<Value>& key,
-                 std::string_view attr, const Lifespan& span,
-                 const Value& value);
-  void LogEndLifespan(std::string_view relation,
-                      const std::vector<Value>& key, TimePoint at);
-  void LogReincarnate(std::string_view relation,
-                      const std::vector<Value>& key, const Lifespan& span);
-  void LogAddAttribute(std::string_view relation, const AttributeDef& def);
-  void LogCloseAttribute(std::string_view relation, std::string_view attr,
-                         TimePoint at);
-  void LogReopenAttribute(std::string_view relation, std::string_view attr,
-                          const Lifespan& span);
-  void LogRegisterForeignKey(const ForeignKey& fk);
-  void LogCreateLifespanIndex(std::string_view relation);
-  void LogCreateValueIndex(std::string_view relation, std::string_view attr);
-
- private:
-  std::vector<std::string> records_;
-};
-
-/// \brief A Database facade that logs every successful mutation.
-///
-/// Usage:
-///   LoggedDatabase ldb;
-///   ldb.CreateRelation(...); ldb.Insert(...); ...
-///   ldb.log().SaveTo("wal.bin");
-/// Recovery: `ChangeLog::LoadFrom(...)` then `Replay` onto a fresh
-/// Database. For recovery with CRC framing, fsync control and
-/// checkpointing, use `StorageEngine` (storage/storage_engine.h) instead.
-class LoggedDatabase {
- public:
-  Database& db() { return db_; }
-  const Database& db() const { return db_; }
-  const ChangeLog& log() const { return log_; }
-
-  Status CreateRelation(std::string name,
-                        std::vector<AttributeDef> attributes,
-                        std::vector<std::string> key);
-  Status DropRelation(std::string_view name);
-  Status Insert(std::string_view relation, Tuple t);
-  Status Assign(std::string_view relation, const std::vector<Value>& key,
-                std::string_view attr, const Lifespan& span,
-                const Value& value);
-  Status EndLifespan(std::string_view relation,
-                     const std::vector<Value>& key, TimePoint at);
-  Status Reincarnate(std::string_view relation,
-                     const std::vector<Value>& key, const Lifespan& span);
-  Status AddAttribute(std::string_view relation, AttributeDef def);
-  Status CloseAttribute(std::string_view relation, std::string_view attr,
-                        TimePoint at);
-  Status ReopenAttribute(std::string_view relation, std::string_view attr,
-                         const Lifespan& span);
-  Status RegisterForeignKey(std::string child,
-                            std::vector<std::string> attrs,
-                            std::string parent);
-  Status CreateLifespanIndex(std::string_view relation);
-  Status CreateValueIndex(std::string_view relation, std::string_view attr);
-
- private:
-  Database db_;
-  ChangeLog log_;
-};
 
 }  // namespace hrdm::storage
 

@@ -384,13 +384,4 @@ Result<Database> Database::DecodeSnapshot(std::string_view data) {
   return db;
 }
 
-Status Database::Save(const std::string& path) const {
-  return WriteFile(path, EncodeSnapshot());
-}
-
-Result<Database> Database::Load(const std::string& path) {
-  HRDM_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  return DecodeSnapshot(data);
-}
-
 }  // namespace hrdm::storage

@@ -47,12 +47,15 @@
 /// optimizer reaches both through the hooks `query::VersionPlanOptions`
 /// builds over a pinned `CurrentVersion()`.
 ///
-/// Persistence: `Save`/`Load` write a versioned binary snapshot (the
-/// physical level of Figure 9) through storage/serializer.h. The raw image
-/// carries data only — index data is derived and rebuilt, never stored.
-/// For crash-safe durability (WAL + checkpoints + recovery, including
-/// index registrations) use storage/storage_engine.h, which wraps this
-/// class.
+/// Persistence: `EncodeSnapshot`/`DecodeSnapshot` convert the data image
+/// (the physical level of Figure 9, via storage/serializer.h) to and from
+/// a buffer. The image carries data only. Files go through one of two
+/// paths, both of which keep index registrations and rebuild index data
+/// on load:
+///  * `WriteSnapshotFile`/`ReadSnapshotFile` (storage/snapshot.h) — one
+///    CRC-checked envelope, for a whole-database image;
+///  * `StorageEngine` (storage/storage_engine.h) — WAL + checkpoints +
+///    recovery, for crash-safe durability of every mutation.
 
 #include <memory>
 #include <string>
@@ -65,8 +68,8 @@
 
 namespace hrdm::storage {
 
-/// \brief An in-memory HRDM database with snapshot persistence and an
-/// atomically-published version chain.
+/// \brief An in-memory HRDM database with an atomically-published version
+/// chain.
 class Database {
  public:
   Database();
@@ -188,18 +191,13 @@ class Database {
 
   // --- persistence ----------------------------------------------------------------
 
-  /// \brief Serializes the whole database to `path` (atomic).
-  Status Save(const std::string& path) const;
-
-  /// \brief Loads a database snapshot written by Save.
-  static Result<Database> Load(const std::string& path);
-
-  /// \brief Serializes to a buffer (used by Save and tests).
+  /// \brief Serializes the data image (relations and foreign keys) to a
+  /// buffer; storage/snapshot.h wraps it in the on-disk envelope.
   std::string EncodeSnapshot() const {
     return CurrentVersion()->EncodeSnapshot();
   }
 
-  /// \brief Decodes a snapshot buffer.
+  /// \brief Decodes a data image written by EncodeSnapshot.
   static Result<Database> DecodeSnapshot(std::string_view data);
 
   /// \brief Canonical human-readable rendering of the whole database (see

@@ -34,11 +34,11 @@
 ///    `query::HashEquiJoinCursor`, so the same index can feed a hash-join
 ///    build side.
 ///
-/// Index *data* is not persisted: snapshots (`Database::Save`) carry only
-/// the primary data. Index *registrations* are durable through the storage
-/// engine — WAL-logged as DDL records and carried in checkpoint envelopes
-/// (storage/snapshot.h) — and recovery re-issues the DDL to rebuild each
-/// index from the recovered relations.
+/// Index *data* is not persisted: the data image
+/// (`Database::EncodeSnapshot`) carries only the primary data. Index
+/// *registrations* are durable — WAL-logged as DDL records and carried in
+/// snapshot envelopes (storage/snapshot.h) — and recovery or a snapshot
+/// load re-issues the DDL to rebuild each index from the loaded relations.
 
 #include <cstdint>
 #include <optional>

@@ -1,7 +1,5 @@
 #include "storage/serializer.h"
 
-#include "util/file.h"
-
 namespace hrdm::storage {
 
 void PutVarint(std::string* out, uint64_t v) {
@@ -283,16 +281,6 @@ Result<Relation> DecodeRelation(Reader* r) {
     HRDM_RETURN_IF_ERROR(rel.Insert(std::move(t)));
   }
   return rel;
-}
-
-Status WriteFile(const std::string& path, std::string_view data) {
-  // Atomic but not durable: no fsync. The durable variant (snapshots, WAL)
-  // goes through util::AtomicWriteFile(durable=true) directly.
-  return util::AtomicWriteFile(path, data, /*durable=*/false);
-}
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  return util::ReadFileToString(path);
 }
 
 }  // namespace hrdm::storage

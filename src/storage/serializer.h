@@ -84,14 +84,6 @@ Result<Tuple> DecodeTuple(Reader* r, const SchemePtr& scheme);
 void EncodeRelation(std::string* out, const Relation& rel);
 Result<Relation> DecodeRelation(Reader* r);
 
-// --- files -------------------------------------------------------------------
-
-/// \brief Writes `data` to `path` atomically (temp file + rename).
-Status WriteFile(const std::string& path, std::string_view data);
-
-/// \brief Reads the whole file at `path`.
-Result<std::string> ReadFileToString(const std::string& path);
-
 }  // namespace hrdm::storage
 
 #endif  // HRDM_STORAGE_SERIALIZER_H_

@@ -1,16 +1,19 @@
 // Tests for the storage engine: catalog, temporal DML (birth / death /
-// reincarnation / assignment), schema evolution (Figure 6), persistence
-// and the change log.
+// reincarnation / assignment), schema evolution (Figure 6) and snapshot
+// persistence. Logging and replay are covered by storage_engine_test.cc.
 
 #include "storage/database.h"
 
 #include <gtest/gtest.h>
 
-#include "storage/changelog.h"
 #include "storage/catalog.h"
+#include "storage/snapshot.h"
+#include "storage_test_util.h"
 
 namespace hrdm::storage {
 namespace {
+
+using hrdm::storage::testing::TempDir;
 
 const Lifespan kFull = Span(0, 99);
 
@@ -190,87 +193,28 @@ TEST(DatabaseTest, SnapshotRoundTrip) {
                     {"DName"})
                   .ok());
   ASSERT_TRUE(db.RegisterForeignKey("emp", {"Name"}, "emp").ok());
-  const std::string path = "/tmp/hrdm_database_test.bin";
-  ASSERT_TRUE(db.Save(path).ok());
-  auto loaded = Database::Load(path);
+  ASSERT_TRUE(db.CreateLifespanIndex("emp").ok());
+  ASSERT_TRUE(db.CreateValueIndex("emp", "Salary").ok());
+  TempDir dir("database_test");
+  const std::string path = dir.path() + "/emp.hrdm";
+  ASSERT_TRUE(WriteSnapshotFile(path, db, /*durable=*/false).ok());
+  auto loaded = ReadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->RelationNames(), db.RelationNames());
-  EXPECT_TRUE((*loaded->Get("emp"))->EqualsAsSet(**db.Get("emp")));
+  EXPECT_EQ(loaded->ToString(), db.ToString());
   EXPECT_EQ(loaded->foreign_keys().size(), 1u);
-  std::remove(path.c_str());
+  // The envelope keeps the index registrations and rebuilds their data.
+  const auto indexes = loaded->catalog().Indexes("emp");
+  ASSERT_TRUE(indexes.has_value());
+  EXPECT_TRUE(indexes->lifespan);
+  EXPECT_EQ(indexes->value_attrs, std::vector<std::string>{"Salary"});
+  EXPECT_NE(loaded->indexes("emp"), nullptr);
+  EXPECT_FALSE(loaded->catalog().Indexes("dept").has_value());
 }
 
 TEST(DatabaseTest, DecodeRejectsGarbage) {
   auto bad = Database::DecodeSnapshot("not a snapshot");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
-}
-
-TEST(ChangeLogTest, ReplayReproducesDatabase) {
-  LoggedDatabase ldb;
-  ASSERT_TRUE(ldb.CreateRelation("emp", EmpAttrs(), {"Name"}).ok());
-  {
-    auto scheme = *ldb.db().catalog().Get("emp");
-    Tuple::Builder b(scheme, Span(0, 19));
-    b.SetConstant("Name", Value::String("john"));
-    ASSERT_TRUE(ldb.Insert("emp", *std::move(b).Build()).ok());
-  }
-  ASSERT_TRUE(ldb.Assign("emp", Key("john"), "Salary", Span(0, 9),
-                         Value::Int(10))
-                  .ok());
-  ASSERT_TRUE(ldb.EndLifespan("emp", Key("john"), 15).ok());
-  ASSERT_TRUE(ldb.Reincarnate("emp", Key("john"), Span(30, 40)).ok());
-  ASSERT_TRUE(ldb.CloseAttribute("emp", "Salary", 35).ok());
-  ASSERT_TRUE(ldb.ReopenAttribute("emp", "Salary", Span(38, 40)).ok());
-  ASSERT_TRUE(ldb.AddAttribute("emp", {"Dept", DomainType::kString, kFull,
-                                       InterpolationKind::kStepwise})
-                  .ok());
-
-  Database replayed;
-  ASSERT_TRUE(ldb.log().Replay(&replayed).ok());
-  EXPECT_EQ(replayed.EncodeSnapshot(), ldb.db().EncodeSnapshot());
-}
-
-TEST(ChangeLogTest, FailedMutationsAreNotLogged) {
-  LoggedDatabase ldb;
-  ASSERT_TRUE(ldb.CreateRelation("emp", EmpAttrs(), {"Name"}).ok());
-  EXPECT_FALSE(
-      ldb.Assign("emp", Key("ghost"), "Salary", Span(0, 1), Value::Int(1))
-          .ok());
-  EXPECT_EQ(ldb.log().size(), 1u);  // only the CreateRelation
-  Database replayed;
-  EXPECT_TRUE(ldb.log().Replay(&replayed).ok());
-}
-
-TEST(ChangeLogTest, TornTailIsTolerated) {
-  LoggedDatabase ldb;
-  ASSERT_TRUE(ldb.CreateRelation("emp", EmpAttrs(), {"Name"}).ok());
-  {
-    auto scheme = *ldb.db().catalog().Get("emp");
-    Tuple::Builder b(scheme, Span(0, 19));
-    b.SetConstant("Name", Value::String("john"));
-    ASSERT_TRUE(ldb.Insert("emp", *std::move(b).Build()).ok());
-  }
-  std::string encoded = ldb.log().Encode();
-  // Simulate a crash mid-append: cut the final record in half.
-  std::string torn = encoded.substr(0, encoded.size() - 5);
-  auto recovered = ChangeLog::Decode(torn);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered->size(), 1u);  // the torn Insert is dropped
-  Database replayed;
-  EXPECT_TRUE(recovered->Replay(&replayed).ok());
-  EXPECT_TRUE((*replayed.Get("emp"))->empty());
-}
-
-TEST(ChangeLogTest, SaveLoadRoundTrip) {
-  LoggedDatabase ldb;
-  ASSERT_TRUE(ldb.CreateRelation("emp", EmpAttrs(), {"Name"}).ok());
-  const std::string path = "/tmp/hrdm_changelog_test.bin";
-  ASSERT_TRUE(ldb.log().SaveTo(path).ok());
-  auto loaded = ChangeLog::LoadFrom(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), ldb.log().size());
-  std::remove(path.c_str());
 }
 
 }  // namespace

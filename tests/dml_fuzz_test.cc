@@ -13,11 +13,16 @@
 #include "query/executor.h"
 #include "query/plan.h"
 #include "storage/changelog.h"
+#include "storage/storage_engine.h"
+#include "storage/wal.h"
+#include "storage_test_util.h"
 #include "test_seeds.h"
 #include "util/random.h"
 
 namespace hrdm::storage {
 namespace {
+
+using hrdm::storage::testing::TempDir;
 
 constexpr TimePoint kHorizon = 120;
 constexpr char kSeedEnv[] = "HRDM_DML_FUZZ_SEEDS";
@@ -83,26 +88,33 @@ class DmlFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DmlFuzzTest, RandomOperationSequences) {
   SCOPED_TRACE(hrdm::testing::SeedTrace(kSeedEnv, GetParam()));
   Rng rng(GetParam());
-  LoggedDatabase ldb;
+  // The engine's WAL is the history replayed below; fsync adds nothing to
+  // a replay-equivalence check.
+  TempDir dir("dml_fuzz");
+  StorageEngine::Options off;
+  off.fsync = FsyncPolicy::kOff;
+  auto engine = StorageEngine::Open(dir.path(), off);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const Lifespan full = Span(0, kHorizon - 1);
   ASSERT_TRUE(
-      ldb.CreateRelation(
-             "obj",
-             {{"Id", DomainType::kString, full,
-               InterpolationKind::kDiscrete},
-              {"X", DomainType::kInt, full, InterpolationKind::kStepwise},
-              {"Y", DomainType::kString, full,
-               InterpolationKind::kStepwise}},
-             {"Id"})
+      engine
+          ->CreateRelation(
+              "obj",
+              {{"Id", DomainType::kString, full,
+                InterpolationKind::kDiscrete},
+               {"X", DomainType::kInt, full, InterpolationKind::kStepwise},
+               {"Y", DomainType::kString, full,
+                InterpolationKind::kStepwise}},
+              {"Id"})
           .ok());
   // Index everything indexable: every mutation below must keep the indexes
   // exact (checked in the periodic audit). Index DDL goes through the
   // logged path too — replay rebuilds registrations and index data, while
   // the snapshot image compared below stays registration-free, so the
   // byte-equality assertion is unaffected.
-  ASSERT_TRUE(ldb.CreateLifespanIndex("obj").ok());
-  ASSERT_TRUE(ldb.CreateValueIndex("obj", "X").ok());
-  ASSERT_TRUE(ldb.CreateValueIndex("obj", "Y").ok());
+  ASSERT_TRUE(engine->CreateLifespanIndex("obj").ok());
+  ASSERT_TRUE(engine->CreateValueIndex("obj", "X").ok());
+  ASSERT_TRUE(engine->CreateValueIndex("obj", "Y").ok());
   auto key_of = [](int i) {
     return std::vector<Value>{Value::String("o" + std::to_string(i))};
   };
@@ -115,7 +127,7 @@ TEST_P(DmlFuzzTest, RandomOperationSequences) {
     switch (op) {
       case 0:
       case 1: {  // insert a fresh object
-        auto scheme = *ldb.db().catalog().Get("obj");
+        auto scheme = *engine->db().catalog().Get("obj");
         const TimePoint b = rng.Uniform(0, kHorizon - 2);
         const TimePoint e = rng.Uniform(b, kHorizon - 1);
         Tuple::Builder builder(scheme, Span(b, e));
@@ -124,7 +136,7 @@ TEST_P(DmlFuzzTest, RandomOperationSequences) {
         builder.SetAt("X", b, Value::Int(rng.Uniform(0, 99)));
         auto t = std::move(builder).Build();
         ASSERT_TRUE(t.ok()) << t.status().ToString();
-        s = ldb.Insert("obj", *std::move(t));
+        s = engine->Insert("obj", *std::move(t));
         if (s.ok()) ++inserted;
         break;
       }
@@ -135,40 +147,41 @@ TEST_P(DmlFuzzTest, RandomOperationSequences) {
         const TimePoint b = rng.Uniform(0, kHorizon - 1);
         const TimePoint e =
             std::min<TimePoint>(kHorizon - 1, b + rng.Uniform(0, 20));
-        s = ldb.Assign("obj", key_of(target),
-                       rng.Chance(0.5) ? "X" : "Y", Span(b, e),
-                       rng.Chance(0.5)
-                           ? Value::Int(rng.Uniform(0, 99))
-                           : Value::String(rng.Identifier(4)));
+        s = engine->Assign("obj", key_of(target),
+                           rng.Chance(0.5) ? "X" : "Y", Span(b, e),
+                           rng.Chance(0.5)
+                               ? Value::Int(rng.Uniform(0, 99))
+                               : Value::String(rng.Identifier(4)));
         break;
       }
       case 4: {  // end a lifespan
         if (inserted == 0) continue;
         const int target = static_cast<int>(rng.Uniform(0, inserted - 1));
-        s = ldb.EndLifespan("obj", key_of(target),
-                            rng.Uniform(1, kHorizon - 1));
+        s = engine->EndLifespan("obj", key_of(target),
+                                rng.Uniform(1, kHorizon - 1));
         break;
       }
       case 5: {  // reincarnate
         if (inserted == 0) continue;
         const int target = static_cast<int>(rng.Uniform(0, inserted - 1));
         const TimePoint b = rng.Uniform(0, kHorizon - 2);
-        s = ldb.Reincarnate("obj", key_of(target),
-                            Span(b, rng.Uniform(b, kHorizon - 1)));
+        s = engine->Reincarnate("obj", key_of(target),
+                                Span(b, rng.Uniform(b, kHorizon - 1)));
         break;
       }
       case 6: {  // close + reopen a non-key attribute (schema evolution)
-        s = ldb.CloseAttribute("obj", "Y", rng.Uniform(1, kHorizon - 1));
+        s = engine->CloseAttribute("obj", "Y",
+                                   rng.Uniform(1, kHorizon - 1));
         if (s.ok()) {
           const TimePoint b = rng.Uniform(0, kHorizon - 2);
-          s = ldb.ReopenAttribute("obj", "Y",
-                                  Span(b, rng.Uniform(b, kHorizon - 1)));
+          s = engine->ReopenAttribute("obj", "Y",
+                                      Span(b, rng.Uniform(b, kHorizon - 1)));
         }
         break;
       }
       case 7: {  // add a new attribute occasionally
         if (rng.Chance(0.9)) continue;
-        s = ldb.AddAttribute(
+        s = engine->AddAttribute(
             "obj", {"Z" + std::to_string(step), DomainType::kInt, full,
                     InterpolationKind::kStepwise});
         break;
@@ -176,9 +189,9 @@ TEST_P(DmlFuzzTest, RandomOperationSequences) {
       default: {  // point assign
         if (inserted == 0) continue;
         const int target = static_cast<int>(rng.Uniform(0, inserted - 1));
-        s = ldb.Assign("obj", key_of(target), "X",
-                       Lifespan::Point(rng.Uniform(0, kHorizon - 1)),
-                       Value::Int(rng.Uniform(0, 99)));
+        s = engine->Assign("obj", key_of(target), "X",
+                           Lifespan::Point(rng.Uniform(0, kHorizon - 1)),
+                           Value::Int(rng.Uniform(0, 99)));
         break;
       }
     }
@@ -193,27 +206,31 @@ TEST_P(DmlFuzzTest, RandomOperationSequences) {
 
     if (step % 80 == 79) {
       // Periodic invariant audit.
-      auto rel = ldb.db().Get("obj");
+      auto rel = engine->db().Get("obj");
       ASSERT_TRUE(rel.ok());
       auto violations = CheckRelationWellFormed(**rel);
       ASSERT_TRUE(violations.ok());
       EXPECT_TRUE(violations->empty())
           << "step " << step << ": " << violations->front().description;
-      CheckIndexDifferential(ldb.db(), &rng);
+      CheckIndexDifferential(engine->db(), &rng);
     }
   }
   ASSERT_GT(applied_ops, 50);  // the sequence actually exercised the engine
 
   // Crash-recovery equivalence: replaying the log reproduces the database
   // byte-for-byte.
+  auto wal = ReadWal(engine->wal_path());
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   Database replayed;
-  ASSERT_TRUE(ldb.log().Replay(&replayed).ok());
-  EXPECT_EQ(replayed.EncodeSnapshot(), ldb.db().EncodeSnapshot());
+  for (const std::string& record : wal->records) {
+    ASSERT_TRUE(ApplyLogRecord(record, &replayed).ok());
+  }
+  EXPECT_EQ(replayed.EncodeSnapshot(), engine->db().EncodeSnapshot());
 
   // And the snapshot itself round-trips.
-  auto decoded = Database::DecodeSnapshot(ldb.db().EncodeSnapshot());
+  auto decoded = Database::DecodeSnapshot(engine->db().EncodeSnapshot());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->EncodeSnapshot(), ldb.db().EncodeSnapshot());
+  EXPECT_EQ(decoded->EncodeSnapshot(), engine->db().EncodeSnapshot());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -316,6 +316,38 @@ TEST(PlanStreamingTest, ForcedStrategyFallsBackWhenIneligible) {
   EXPECT_EQ(plan->stats().joins_nested_loop, 1u);
 }
 
+TEST(PlanStreamingTest, ParallelScanReleasesEachEmittedBatch) {
+  // The morsel-parallel scan interpolates its whole input up front; each
+  // handle leaves its buffer as it is emitted, so under a blocking
+  // aggregate the peak stays within one batch of the serial plan's.
+  Rng rng(5);
+  auto emp = workload::MakePersonnel(
+      &rng, workload::PersonnelConfig{.num_employees = 400});
+  ASSERT_TRUE(emp.ok());
+  storage::Database db;
+  ASSERT_TRUE(db.CreateRelation(emp->scheme()).ok());
+  for (const Tuple& t : *emp) ASSERT_TRUE(db.Insert("emp", t).ok());
+  auto expr = ParseExpr("aggregate(emp, sum Salary by Dept)");
+  ASSERT_TRUE(expr.ok());
+  const auto pin = db.CurrentVersion();
+  auto peak = [&](size_t parallelism) -> size_t {
+    PlanOptions options;
+    options.parallelism = parallelism;
+    options.force_parallel = parallelism > 1;
+    options.batch_size = 16;
+    auto plan = Plan::Lower(*expr, VersionResolver(*pin), options);
+    EXPECT_TRUE(plan.ok());
+    if (!plan.ok()) return 0;
+    EXPECT_TRUE(plan->Drain().ok());
+    EXPECT_EQ(plan->stats().parallelism, parallelism);
+    EXPECT_EQ(plan->stats().buffered_now, 0u);
+    return plan->stats().peak_buffered;
+  };
+  const size_t serial = peak(1);
+  EXPECT_GT(serial, 0u);
+  EXPECT_LE(peak(4), serial + 16);
+}
+
 TEST(PlanStreamingTest, WhenWindowBufferingIsCounted) {
   auto db = RandomDb(9);
   // A when() window materializes its subquery; that buffering must be

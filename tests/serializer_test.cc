@@ -1,15 +1,20 @@
 // Tests for the binary serializer (the physical level of Figure 9):
-// round-trips for every model object and robustness against corruption.
+// round-trips for every model object and robustness against corruption,
+// plus the util/file.h whole-file helpers the snapshot and WAL files use.
 
 #include "storage/serializer.h"
 
 #include <gtest/gtest.h>
 
+#include "storage_test_util.h"
+#include "util/file.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
 namespace hrdm::storage {
 namespace {
+
+using hrdm::storage::testing::TempDir;
 
 TEST(VarintTest, RoundTripsEdgeValues) {
   const uint64_t cases[] = {0,   1,          127,       128,
@@ -168,14 +173,17 @@ TEST(RelationCodecTest, BitFlipsNeverCrash) {
 }
 
 TEST(FileIoTest, WriteAndReadBack) {
-  const std::string path = "/tmp/hrdm_serializer_test.bin";
-  const std::string payload = "binary\0data\xff";
-  ASSERT_TRUE(WriteFile(path, payload).ok());
-  auto back = ReadFileToString(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, payload);
-  std::remove(path.c_str());
-  EXPECT_FALSE(ReadFileToString(path).ok());
+  TempDir dir("file_io");
+  const std::string path = dir.path() + "/payload.bin";
+  const std::string payload("binary\0data\xff", 12);
+  for (const bool durable : {false, true}) {
+    ASSERT_TRUE(util::AtomicWriteFile(path, payload, durable).ok());
+    auto back = util::ReadFileToString(path);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, payload);
+  }
+  ASSERT_TRUE(util::RemoveFileIfExists(path).ok());
+  EXPECT_FALSE(util::ReadFileToString(path).ok());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Corruption-injection fuzz for every decode path that can meet untrusted
 // bytes after a crash or disk fault: snapshot images
 // (Database::DecodeSnapshot), snapshot envelopes (DecodeSnapshotFile),
-// change-log records (ChangeLog::Decode / ApplyLogRecord), the low-level
-// serializer primitives, and whole WAL files. The contract everywhere:
+// logical log records (ApplyLogRecord), the low-level serializer
+// primitives, and whole WAL files. The contract everywhere:
 // malformed input produces a clean Status (Corruption / InvalidArgument /
 // ...), NEVER a crash, UB or StatusCode::kInternal. The CI ASan/UBSan job
 // runs this suite with sanitizers watching.
@@ -176,11 +176,17 @@ TEST_P(StorageFuzzTest, SnapshotEnvelopeDecodeSurvivesCorruption) {
 TEST_P(StorageFuzzTest, ChangeLogRecordsSurviveCorruption) {
   SCOPED_TRACE(hrdm::testing::SeedTrace(kSeedEnv, GetParam()));
   Rng rng(GetParam() + 2);
-  // Harvest genuine records from a seeded workload.
-  LoggedDatabase ldb;
+  // Harvest genuine records from a seeded workload's WAL.
+  TempDir dir("records");
+  StorageEngine::Options off;
+  off.fsync = FsyncPolicy::kOff;
+  auto engine = StorageEngine::Open(dir.path(), off);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   WorkloadRunner runner(GetParam());
-  for (int i = 0; i < 30; ++i) (void)runner.Step(&ldb, i);
-  const std::vector<std::string>& records = ldb.log().records();
+  for (int i = 0; i < 30; ++i) (void)runner.Step(&*engine, i);
+  auto wal = ReadWal(engine->wal_path());
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  const std::vector<std::string>& records = wal->records;
   ASSERT_GT(records.size(), 4u);
 
   for (int iter = 0; iter < 400; ++iter) {

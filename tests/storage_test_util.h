@@ -8,10 +8,12 @@
 //    suites at a tmpfs), recursively removed on destruction;
 //  * WorkloadRunner — a deterministic, seeded DML/DDL op stream that can be
 //    replayed against any target exposing the Database mutation surface
-//    (Database, LoggedDatabase, StorageEngine). The crash harness runs the
-//    same seed in the child (against a StorageEngine) and in the parent
-//    (against an in-memory Database oracle) and compares the recovered
-//    state to the oracle's prefix states.
+//    (Database, StorageEngine). The crash harness runs the same seed in
+//    the child (against a StorageEngine) and in the parent (against an
+//    in-memory Database oracle) and compares the recovered state to the
+//    oracle's prefix states. Suites that need the logged records of a
+//    history run it against a StorageEngine opened with FsyncPolicy::kOff
+//    and read them back with `ReadWal(engine.wal_path()).records`.
 //
 // WorkloadRunner issues AT MOST ONE logged mutation per Step() so that a
 // crash between any two steps lands exactly on an oracle prefix state.
@@ -25,7 +27,6 @@
 #include <unistd.h>
 
 #include "storage/database.h"
-#include "storage/changelog.h"
 #include "storage/storage_engine.h"
 #include "util/file.h"
 #include "util/random.h"
@@ -78,7 +79,6 @@ class TempDir {
 };
 
 inline const Database& DbOf(const Database& db) { return db; }
-inline const Database& DbOf(const LoggedDatabase& ldb) { return ldb.db(); }
 inline const Database& DbOf(const StorageEngine& engine) {
   return engine.db();
 }
