@@ -10,6 +10,12 @@
 // collapses, which is itself useful: it isolates the software overhead
 // from the disk.
 //
+// The commit-scaling row times one in-memory temporal assignment
+// (`Database::AssignAt`) against relations of growing size with a lifespan
+// index and a value index registered: a commit's cost should grow with
+// log n, not n. The pinned rows take a reader pin before each call, so
+// the commit must first copy whatever the pin still shares.
+//
 // Prints a table and writes BENCH_storage.json. Scratch space:
 // $HRDM_BENCH_DIR, else $TMPDIR, else /tmp.
 
@@ -107,6 +113,53 @@ Json BenchReplay(int employees, int reps) {
                       {"records_per_sec", records_per_sec}});
 }
 
+/// `reps` timed AssignAt commits on a personnel relation of `employees`
+/// objects (the perfbench ingest shape: horizon 1000, 24 departments)
+/// with both index kinds registered. With `pinned`, a reader pin is taken
+/// before each call and dropped after it, both untimed.
+Json BenchCommitScaling(int employees, bool pinned, int reps) {
+  Rng rng(1);
+  workload::PersonnelConfig config;
+  config.num_employees = static_cast<size_t>(employees);
+  config.horizon = 1000;
+  config.salary_change_period = 100;
+  config.num_departments = 24;
+  const Relation population = *workload::MakePersonnel(&rng, config);
+  Database db;
+  Check(db.CreateRelation(population.scheme()));
+  for (const TuplePtr& t : population.tuple_ptrs()) {
+    Check(db.Insert("emp", *t));
+  }
+  Check(db.CreateLifespanIndex("emp"));
+  Check(db.CreateValueIndex("emp", "Name"));
+
+  Rng pick(7);
+  auto assign = [&] {
+    const Tuple& t = population.tuple(pick.Index(population.size()));
+    const Lifespan& l = t.lifespan();
+    const Interval& iv = l.intervals()[pick.Index(l.IntervalCount())];
+    Check(db.AssignAt("emp", t.KeyValues(), "Salary",
+                      pick.Uniform(iv.begin, iv.end),
+                      Value::Int(pick.Uniform(30, 200) * 1000)));
+  };
+  assign();  // warm-up
+  std::vector<double> us;
+  us.reserve(static_cast<size_t>(reps));
+  double seconds = 0;
+  for (int i = 0; i < reps; ++i) {
+    DatabaseVersionPtr pin;
+    if (pinned) pin = db.CurrentVersion();
+    us.push_back(bench::TimeUs(assign));
+    seconds += us.back() / 1e6;
+  }
+  const Timing t = bench::Summarize(us, seconds);
+  std::printf("commit scaling %6d emp | reader %-6s | p50 %9.1f us | p99 "
+              "%9.1f us\n",
+              employees, pinned ? "pinned" : "none", t.p50_us, t.p99_us);
+  return Json::Of(t, {{"employees", employees},
+                      {"reader", pinned ? "pinned" : "none"}});
+}
+
 /// `n` timed engine inserts (each one WAL append + policy fsync; one more
 /// untimed warm-up insert precedes them), then a timed recovery (Open =
 /// read + replay the log) and a timed checkpoint.
@@ -178,6 +231,13 @@ int main() {
   }
   Json replay = BenchReplay(1000, 20);
 
+  std::vector<Json> scaling;
+  for (int employees : {2000, 20000, 100000}) {
+    scaling.push_back(BenchCommitScaling(employees, /*pinned=*/false, 400));
+    scaling.push_back(BenchCommitScaling(employees, /*pinned=*/true,
+                                         employees >= 100000 ? 40 : 200));
+  }
+
   // One fsync per record is orders of magnitude slower on real disks:
   // smaller n keeps the run bounded while still amortizing startup.
   std::vector<Json> durable;
@@ -188,6 +248,7 @@ int main() {
   hrdm::bench::WriteBenchJson(
       "storage", {{"snapshot", Json::Array(std::move(snapshots))},
                   {"replay", std::move(replay)},
+                  {"commit_scaling", Json::Array(std::move(scaling))},
                   {"durable_insert", Json::Array(std::move(durable))}});
   return 0;
 }

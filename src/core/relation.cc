@@ -9,10 +9,11 @@ constexpr uint64_t kFnvPrime = 1099511628211ULL;
 }  // namespace
 
 void Relation::IndexTuple(const Tuple& t, size_t idx) {
-  if (!scheme_->key().empty()) {
+  if (scheme_->key().empty()) {
+    struct_index_[t.Hash()].push_back(idx);
+  } else {
     key_index_[KeyHashOf(t.KeyValues())].push_back(idx);
   }
-  struct_index_[t.Hash()].push_back(idx);
 }
 
 Status Relation::Insert(TuplePtr t) {
@@ -98,10 +99,11 @@ Status Relation::ReplaceAt(size_t idx, TuplePtr t) {
     }
   }
   const Tuple& old = *tuples_[idx];
-  if (!scheme_->key().empty()) {
+  if (scheme_->key().empty()) {
+    RemoveIndexEntry(&struct_index_, old.Hash(), idx);
+  } else {
     RemoveIndexEntry(&key_index_, KeyHashOf(old.KeyValues()), idx);
   }
-  RemoveIndexEntry(&struct_index_, old.Hash(), idx);
   IndexTuple(*t, idx);
   tuples_[idx] = std::move(t);
   return Status::OK();
@@ -151,10 +153,16 @@ std::vector<size_t> Relation::FindAllByKey(
 }
 
 std::optional<size_t> Relation::FindStructural(const Tuple& t) const {
-  auto it = struct_index_.find(t.Hash());
-  if (it == struct_index_.end()) return std::nullopt;
+  // Structurally equal tuples share their constant key, so a keyed scheme
+  // finds duplicates on the key chain; only keyless schemes need the
+  // structural map. The memoized hashes screen before full equality.
+  const bool keyed = !scheme_->key().empty();
+  const auto& index = keyed ? key_index_ : struct_index_;
+  auto it = index.find(keyed ? KeyHashOf(t.KeyValues()) : t.Hash());
+  if (it == index.end()) return std::nullopt;
+  const uint64_t hash = t.Hash();
   for (size_t idx : it->second) {
-    if (*tuples_[idx] == t) return idx;
+    if (tuples_[idx]->Hash() == hash && *tuples_[idx] == t) return idx;
   }
   return std::nullopt;
 }

@@ -170,9 +170,11 @@ class Relation {
 
   SchemePtr scheme_;
   std::vector<TuplePtr> tuples_;
-  /// KeyHash -> indices of tuples with that hash (collision chain).
+  /// KeyHash -> indices of tuples with that hash (collision chain); keyed
+  /// schemes only. Also serves FindStructural there.
   std::unordered_map<uint64_t, std::vector<size_t>> key_index_;
-  /// Structural Tuple::Hash -> indices (for set-semantics dedup).
+  /// Structural Tuple::Hash -> indices (for set-semantics dedup); keyless
+  /// schemes only.
   std::unordered_map<uint64_t, std::vector<size_t>> struct_index_;
   bool materialized_ = false;
 };

@@ -1,6 +1,9 @@
 #include "storage/index.h"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
+#include <tuple>
 #include <unordered_set>
 
 #include "algebra/join.h"
@@ -9,64 +12,57 @@ namespace hrdm::storage {
 
 // --- LifespanIndex -----------------------------------------------------------
 
-void LifespanIndex::Add(const TuplePtr& t) {
-  for (const Interval& iv : t->lifespan().intervals()) {
-    Entry e{iv.begin, iv.end, t};
-    auto pos = std::upper_bound(
-        entries_.begin(), entries_.end(), e,
-        [](const Entry& a, const Entry& b) { return a.begin < b.begin; });
-    entries_.insert(pos, std::move(e));
+namespace {
+
+/// The run sort order: (begin, end, tuple address). The address makes each
+/// entry's position exact, so Remove finds it by binary search instead of
+/// scanning a long stretch of equal begins.
+struct EntryOrder {
+  template <typename Entry>
+  bool operator()(const Entry& a, const Entry& b) const {
+    auto key = [](const Entry& e) {
+      return std::tuple(e.begin, e.end,
+                        reinterpret_cast<uintptr_t>(e.tuple.get()));
+    };
+    return key(a) < key(b);
   }
-  RebuildTree();
-}
+};
 
-void LifespanIndex::Remove(const TuplePtr& t) {
-  std::erase_if(entries_, [&](const Entry& e) { return e.tuple == t; });
-  RebuildTree();
-}
+/// Size class of a run of `n` entries; runs merge when classes collide.
+int SizeClass(size_t n) { return static_cast<int>(std::bit_width(n)); }
 
-void LifespanIndex::Rebuild(const Relation& rel) {
-  entries_.clear();
-  for (const TuplePtr& t : rel.tuple_ptrs()) {
-    for (const Interval& iv : t->lifespan().intervals()) {
-      entries_.push_back(Entry{iv.begin, iv.end, t});
-    }
-  }
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) { return a.begin < b.begin; });
-  RebuildTree();
-}
+}  // namespace
 
-void LifespanIndex::RebuildTree() {
-  max_end_.assign(entries_.empty() ? 0 : 4 * entries_.size(), kTimeMin);
-  if (entries_.empty()) return;
+LifespanIndex::Run::Run(std::vector<Entry> sorted)
+    : entries(std::move(sorted)), max_end(4 * entries.size(), kTimeMin) {
+  if (entries.empty()) return;
   // Recursive build of the implicit segment tree: node covers [lo, hi) of
-  // the begin-sorted entry array; depth is log2(n).
+  // the sorted entry array; depth is log2(n).
   auto build = [&](auto&& self, size_t node, size_t lo, size_t hi) -> TimePoint {
     if (hi - lo == 1) {
-      max_end_[node] = entries_[lo].end;
-      return max_end_[node];
+      max_end[node] = entries[lo].end;
+      return max_end[node];
     }
     const size_t mid = lo + (hi - lo) / 2;
     const TimePoint l = self(self, 2 * node + 1, lo, mid);
     const TimePoint r = self(self, 2 * node + 2, mid, hi);
-    max_end_[node] = std::max(l, r);
-    return max_end_[node];
+    max_end[node] = std::max(l, r);
+    return max_end[node];
   };
-  build(build, 0, 0, entries_.size());
+  build(build, 0, 0, entries.size());
 }
 
-void LifespanIndex::Collect(size_t node, size_t lo, size_t hi, TimePoint qb,
-                            TimePoint qe,
-                            std::vector<const Entry*>* out) const {
+void LifespanIndex::Run::Collect(size_t node, size_t lo, size_t hi,
+                                 TimePoint qb, TimePoint qe,
+                                 std::vector<size_t>* out) const {
   // Subtree prune 1: every interval in [lo, hi) ends before the window.
-  if (max_end_[node] < qb) return;
+  if (max_end[node] < qb) return;
   // Subtree prune 2: entries are sorted by begin, so if the first entry of
   // this subtree begins after the window ends, all of them do.
-  if (entries_[lo].begin > qe) return;
+  if (entries[lo].begin > qe) return;
   if (hi - lo == 1) {
     // Leaf: overlap test `begin <= qe && end >= qb` (both pruned above).
-    out->push_back(&entries_[lo]);
+    out->push_back(lo);
     return;
   }
   const size_t mid = lo + (hi - lo) / 2;
@@ -74,19 +70,123 @@ void LifespanIndex::Collect(size_t node, size_t lo, size_t hi, TimePoint qb,
   Collect(2 * node + 2, mid, hi, qb, qe, out);
 }
 
+LifespanIndex::Slot LifespanIndex::MakeSlot(std::vector<Entry> sorted) {
+  Slot slot;
+  slot.run = std::make_shared<const Run>(std::move(sorted));
+  return slot;
+}
+
+std::vector<LifespanIndex::Entry> LifespanIndex::LiveEntries(
+    const Slot& slot) {
+  std::vector<Entry> live;
+  live.reserve(slot.live_count());
+  for (size_t i = 0; i < slot.run->entries.size(); ++i) {
+    if (slot.Live(i)) live.push_back(slot.run->entries[i]);
+  }
+  return live;
+}
+
+void LifespanIndex::Normalize() {
+  std::vector<Slot> kept;
+  kept.reserve(runs_.size());
+  for (Slot& slot : runs_) {
+    if (slot.live_count() == 0) continue;
+    kept.push_back(std::move(slot));
+    while (kept.size() >= 2 &&
+           SizeClass(kept.back().run->entries.size()) >=
+               SizeClass(kept[kept.size() - 2].run->entries.size())) {
+      std::vector<Entry> newer = LiveEntries(kept.back());
+      std::vector<Entry> older = LiveEntries(kept[kept.size() - 2]);
+      std::vector<Entry> merged;
+      merged.reserve(newer.size() + older.size());
+      std::merge(std::make_move_iterator(older.begin()),
+                 std::make_move_iterator(older.end()),
+                 std::make_move_iterator(newer.begin()),
+                 std::make_move_iterator(newer.end()),
+                 std::back_inserter(merged), EntryOrder{});
+      kept.pop_back();
+      kept.back() = MakeSlot(std::move(merged));
+    }
+  }
+  runs_ = std::move(kept);
+}
+
+void LifespanIndex::Add(const TuplePtr& t) {
+  std::vector<Entry> entries;
+  for (const Interval& iv : t->lifespan().intervals()) {
+    entries.push_back(Entry{iv.begin, iv.end, t});
+  }
+  if (entries.empty()) return;
+  // A lifespan's intervals are disjoint and ascending: already sorted.
+  runs_.push_back(MakeSlot(std::move(entries)));
+  Normalize();
+}
+
+void LifespanIndex::Remove(const TuplePtr& t) {
+  bool compact = false;
+  for (Slot& slot : runs_) {
+    const std::vector<Entry>& entries = slot.run->entries;
+    for (const Interval& iv : t->lifespan().intervals()) {
+      const auto [first, last] =
+          std::equal_range(entries.begin(), entries.end(),
+                           Entry{iv.begin, iv.end, t}, EntryOrder{});
+      for (auto it = first; it != last; ++it) {
+        const size_t i = static_cast<size_t>(it - entries.begin());
+        if (!slot.Live(i)) continue;
+        // Copy-on-write: an index copy may still read this bitmap.
+        if (!slot.dead) {
+          slot.dead = std::make_shared<std::vector<bool>>(entries.size());
+        } else if (slot.dead.use_count() > 1) {
+          slot.dead = std::make_shared<std::vector<bool>>(*slot.dead);
+        }
+        (*slot.dead)[i] = true;
+        ++slot.dead_count;
+      }
+    }
+    if (2 * slot.dead_count > entries.size()) {
+      slot = MakeSlot(LiveEntries(slot));
+      compact = true;
+    }
+  }
+  if (compact) Normalize();
+}
+
+void LifespanIndex::Rebuild(const Relation& rel) {
+  std::vector<Entry> entries;
+  for (const TuplePtr& t : rel.tuple_ptrs()) {
+    for (const Interval& iv : t->lifespan().intervals()) {
+      entries.push_back(Entry{iv.begin, iv.end, t});
+    }
+  }
+  std::sort(entries.begin(), entries.end(), EntryOrder{});
+  runs_.clear();
+  if (!entries.empty()) runs_.push_back(MakeSlot(std::move(entries)));
+}
+
+size_t LifespanIndex::entry_count() const {
+  size_t n = 0;
+  for (const Slot& slot : runs_) n += slot.live_count();
+  return n;
+}
+
 std::vector<TuplePtr> LifespanIndex::Probe(const Lifespan& window) const {
   std::vector<TuplePtr> out;
-  if (entries_.empty() || window.empty()) return out;
-  std::vector<const Entry*> hits;
-  for (const Interval& iv : window.intervals()) {
-    Collect(0, 0, entries_.size(), iv.begin, iv.end, &hits);
-  }
+  if (runs_.empty() || window.empty()) return out;
   // A tuple can hit several times: multiple lifespan intervals, or several
   // window intervals touching one entry. Deduplicate by tuple identity.
   std::unordered_set<const Tuple*> seen;
-  out.reserve(hits.size());
-  for (const Entry* e : hits) {
-    if (seen.insert(e->tuple.get()).second) out.push_back(e->tuple);
+  std::vector<size_t> hits;
+  for (const Slot& slot : runs_) {
+    const Run& run = *slot.run;
+    hits.clear();
+    for (const Interval& iv : window.intervals()) {
+      run.Collect(0, 0, run.entries.size(), iv.begin, iv.end, &hits);
+    }
+    for (size_t i : hits) {
+      if (!slot.Live(i)) continue;
+      const TuplePtr& t = run.entries[i].tuple;
+      if (seen.insert(t.get()).second) out.push_back(t);
+    }
   }
   return out;
 }

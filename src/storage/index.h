@@ -21,9 +21,9 @@
 ///  * `LifespanIndex` — an interval index over tuple lifespans, answering
 ///    "which tuples are alive during window L" for TIME-SLICE windows and
 ///    windowed SELECT-IF/SELECT-WHEN evaluation. Tuples are coded one entry
-///    per maximal lifespan interval, sorted by interval start, with an
-///    implicit segment tree of interval ends for O(log n + k) overlap
-///    queries.
+///    per maximal lifespan interval, held in a logarithmic set of immutable
+///    sorted runs, each with its own implicit segment tree of interval ends
+///    for O(log n + k) overlap queries per run.
 ///
 ///  * `ValueIndex` — an equality index over one attribute's values, keyed
 ///    by the time-invariant `JoinKeyDigest` of the value when the attribute
@@ -41,6 +41,7 @@
 /// load re-issues the DDL to rebuild each index from the loaded relations.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -54,28 +55,42 @@
 
 namespace hrdm::storage {
 
-/// \brief Sorted interval index over tuple lifespans: answers overlap
-/// queries "which tuples are alive at some chronon of L".
+/// \brief Interval index over tuple lifespans: answers overlap queries
+/// "which tuples are alive at some chronon of L".
 ///
 /// Entries are (interval, tuple) pairs — one per maximal interval of each
-/// tuple's lifespan — kept sorted by interval begin. An implicit segment
-/// tree over interval ends prunes whole subranges whose intervals all end
-/// before the query window, giving O(log n + k) probes. The tree is
-/// rebuilt eagerly at the end of every mutation (O(n), dominated by the
-/// sorted-insert / re-sort cost already paid there), which keeps `Probe`
-/// genuinely const — a published index can be probed from any number of
-/// reader sessions concurrently with no hidden writes.
+/// tuple's lifespan — held in a Bentley–Saxe set of immutable sorted runs
+/// (the logarithmic method). Each run sorts its entries by (begin, end,
+/// tuple address) and carries its own implicit segment tree of interval
+/// ends, so a probe visits O(log n) runs at O(log n + k) each.
+///
+///  * `Add` appends a run holding the tuple's entries and merges runs of
+///    the same size class, like a binary counter: each entry takes part in
+///    O(log n) merges.
+///  * `Remove` tombstones the tuple's exact entries, each found by binary
+///    search in every run. A merge drops tombstoned entries, and a run
+///    left more than half dead is rebuilt from its live entries.
+///  * `Rebuild` sorts everything into one run.
+///
+/// Maintenance thus costs amortized O(log² n) per tuple. Runs are never
+/// written once built, and a run's tombstone bitmap is copy-on-write: a
+/// mutation writes one in place only while this index is its sole owner
+/// (`use_count() == 1`). So copying the index — what a commit does when a
+/// pinned reader still holds the previous version — copies O(log n) run
+/// handles, and `Probe` is genuinely const: a published index can be
+/// probed from any number of reader sessions while the writer moves on.
 class LifespanIndex {
  public:
-  /// \brief Adds every lifespan interval of `t`. O(intervals · n) worst
-  /// case (sorted insertion); use Rebuild for bulk loads.
+  /// \brief Adds every lifespan interval of `t`. Amortized O(log n).
   void Add(const TuplePtr& t);
 
   /// \brief Removes every entry of the exact tuple object `t` (pointer
-  /// identity — the storage engine replaces tuples wholesale). O(n).
+  /// identity — the storage engine replaces tuples wholesale). Amortized
+  /// O(log² n); a tuple that was never added is a no-op.
   void Remove(const TuplePtr& t);
 
-  /// \brief Drops everything and re-indexes `rel` in one O(n log n) pass.
+  /// \brief Drops everything and re-indexes `rel` as one run, in one
+  /// O(n log n) sort.
   void Rebuild(const Relation& rel);
 
   /// \brief All tuples whose lifespan overlaps `window`, deduplicated.
@@ -84,8 +99,11 @@ class LifespanIndex {
   /// enclosing operator's semantics.
   std::vector<TuplePtr> Probe(const Lifespan& window) const;
 
-  /// \brief Number of (interval, tuple) entries.
-  size_t entry_count() const { return entries_.size(); }
+  /// \brief Number of live (interval, tuple) entries.
+  size_t entry_count() const;
+
+  /// \brief Number of runs: O(log n).
+  size_t run_count() const { return runs_.size(); }
 
  private:
   struct Entry {
@@ -94,14 +112,37 @@ class LifespanIndex {
     TuplePtr tuple;
   };
 
-  void RebuildTree();
-  void Collect(size_t node, size_t lo, size_t hi, TimePoint qb, TimePoint qe,
-               std::vector<const Entry*>* out) const;
+  /// An immutable run: entries sorted by (begin, end, tuple address) and
+  /// the segment tree holding the max interval end per subtree.
+  struct Run {
+    explicit Run(std::vector<Entry> sorted);
+    void Collect(size_t node, size_t lo, size_t hi, TimePoint qb,
+                 TimePoint qe, std::vector<size_t>* out) const;
 
-  std::vector<Entry> entries_;  // sorted by begin
-  /// Segment tree over entries_ holding the max interval end per subtree;
-  /// rebuilt eagerly by every mutation so const probes never write.
-  std::vector<TimePoint> max_end_;
+    std::vector<Entry> entries;
+    std::vector<TimePoint> max_end;
+  };
+
+  /// A shared run plus this index's tombstones over it.
+  struct Slot {
+    std::shared_ptr<const Run> run;
+    /// `(*dead)[i]` marks `run->entries[i]` removed; null while nothing
+    /// is. Shared by index copies, so written only under use_count() == 1.
+    std::shared_ptr<std::vector<bool>> dead;
+    size_t dead_count = 0;
+
+    bool Live(size_t i) const { return !dead || !(*dead)[i]; }
+    size_t live_count() const { return run->entries.size() - dead_count; }
+  };
+
+  static Slot MakeSlot(std::vector<Entry> sorted);
+  static std::vector<Entry> LiveEntries(const Slot& slot);
+  /// Restores the binary-counter shape: drops empty runs and merges
+  /// neighbours until size classes strictly decrease from the front.
+  void Normalize();
+
+  /// Largest (oldest) run first.
+  std::vector<Slot> runs_;
 };
 
 /// \brief Equality index over one attribute: constant-valued tuples are

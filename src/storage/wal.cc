@@ -61,7 +61,11 @@ Result<WalContents> ReadWal(const std::string& path) {
     // A log that was never created is an empty log.
     return out;
   }
-  HRDM_ASSIGN_OR_RETURN(std::string data, util::ReadFileToString(path));
+  // Read through the Result rather than moving the string out of it: the
+  // move trips gcc 12's -Wmaybe-uninitialized on the empty-file branch.
+  const Result<std::string> read = util::ReadFileToString(path);
+  if (!read.ok()) return read.status();
+  const std::string& data = *read;
   if (data.size() < kWalHeaderSize) {
     // Torn header: the file was created but the 8 header bytes never all
     // reached disk. Treat as empty iff what is there is a header prefix —

@@ -7,8 +7,8 @@
 #define HRDM_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
 #define HRDM_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
 #else
-#define HRDM_ARENA_POISON(p, n) ((void)0)
-#define HRDM_ARENA_UNPOISON(p, n) ((void)0)
+#define HRDM_ARENA_POISON(p, n) ((void)(p), (void)(n))
+#define HRDM_ARENA_UNPOISON(p, n) ((void)(p), (void)(n))
 #endif
 
 namespace hrdm::util {

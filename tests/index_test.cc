@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 
 #include "query/executor.h"
 #include "query/optimizer.h"
@@ -117,6 +119,147 @@ TEST(LifespanIndexTest, IncrementalAddRemoveTracksRebuild) {
     const Lifespan w = Span(b, b + 6);
     EXPECT_TRUE(SameTupleSet(incremental.Probe(w), NaiveAlive(remaining, w)))
         << "window " << w.ToString();
+  }
+}
+
+constexpr char kLifespanIndexSeedEnv[] = "HRDM_LIFESPAN_INDEX_SEEDS";
+
+/// A random lifespan of one to three disjoint intervals inside the horizon.
+Lifespan RandomLifespan(Rng* rng) {
+  Lifespan l;
+  const int64_t pieces = rng->Uniform(1, 3);
+  for (int64_t p = 0; p < pieces; ++p) {
+    const TimePoint b = rng->Uniform(0, kHorizon - 1);
+    l = l.Union(Span(b, std::min<TimePoint>(kHorizon - 1,
+                                            b + rng->Uniform(0, 12))));
+  }
+  return l;
+}
+
+/// A random probe window: one or two intervals, sometimes a point.
+Lifespan RandomWindow(Rng* rng) {
+  const TimePoint b = rng->Uniform(0, kHorizon - 1);
+  Lifespan w = rng->Chance(0.2) ? Lifespan::Point(b)
+                                : Span(b, std::min<TimePoint>(
+                                              kHorizon - 1,
+                                              b + rng->Uniform(0, 20)));
+  if (rng->Chance(0.3)) {
+    w = w.Union(Lifespan::Point(rng->Uniform(0, kHorizon - 1)));
+  }
+  return w;
+}
+
+// Long random Add / Remove / Rebuild histories against the naive overlap
+// scan. The phases grow the index (binary-counter merges), churn it
+// (tombstones, compaction of half-dead runs, merges that drop tombstones),
+// shrink it to nothing (every run purged) and rebuild it from a relation;
+// a copy taken mid-history must keep answering as of the copy.
+TEST(LifespanIndexTest, RandomHistoriesMatchNaiveOverlapScan) {
+  for (uint64_t seed : hrdm::testing::SeedsFromEnv(kLifespanIndexSeedEnv,
+                                                   {1, 2, 3, 4})) {
+    SCOPED_TRACE(hrdm::testing::SeedTrace(kLifespanIndexSeedEnv, seed));
+    SchemePtr scheme = ObjScheme();
+    Rng rng(seed);
+    LifespanIndex index;
+    std::vector<TuplePtr> live;
+    int next_id = 0;
+    bool merged_on_add = false;
+    bool compacted_on_remove = false;
+
+    auto live_relation = [&] {
+      Relation rel(scheme);
+      for (const TuplePtr& t : live) EXPECT_TRUE(rel.Insert(t).ok());
+      return rel;
+    };
+    auto check = [&](const std::string& step) {
+      const Relation rel = live_relation();
+      size_t entries = 0;
+      for (const TuplePtr& t : live) entries += t->lifespan().IntervalCount();
+      ASSERT_EQ(index.entry_count(), entries) << step;
+      // O(log n) runs: size classes strictly decrease from the front.
+      ASSERT_LE(index.run_count(),
+                static_cast<size_t>(2 + std::bit_width(entries)))
+          << step;
+      for (int probe = 0; probe < 3; ++probe) {
+        const Lifespan w = RandomWindow(&rng);
+        ASSERT_TRUE(SameTupleSet(index.Probe(w), NaiveAlive(rel, w)))
+            << step << ", window " << w.ToString();
+      }
+    };
+    auto add = [&] {
+      const Lifespan l = RandomLifespan(&rng);
+      live.push_back(std::make_shared<const Tuple>(
+          MakeObj(scheme, next_id++, l, static_cast<int>(rng.Uniform(0, 9)))));
+      const size_t runs = index.run_count();
+      index.Add(live.back());
+      merged_on_add |= index.run_count() <= runs;
+    };
+    auto remove = [&] {
+      if (live.empty()) return;
+      const size_t i = rng.Index(live.size());
+      const size_t runs = index.run_count();
+      index.Remove(live[i]);
+      // Only a compacted (more than half dead) run can shrink the count.
+      compacted_on_remove |= index.run_count() < runs;
+      live.erase(live.begin() + static_cast<ptrdiff_t>(i));
+    };
+
+    // Phase 1: growth.
+    for (int step = 0; step < 300; ++step) {
+      add();
+      ASSERT_NO_FATAL_FAILURE(check("grow " + std::to_string(step)));
+    }
+    // Phase 2: churn, with a frozen copy taken part-way.
+    std::optional<LifespanIndex> frozen;
+    std::vector<std::pair<Lifespan, std::vector<TuplePtr>>> frozen_answers;
+    for (int step = 0; step < 600; ++step) {
+      const double roll = rng.NextDouble();
+      if (roll < 0.45) {
+        add();
+      } else if (roll < 0.9) {
+        remove();
+      } else if (roll < 0.97) {
+        // Remove + re-add of a fresh object: the storage engine's replace.
+        remove();
+        add();
+      } else {
+        // Removing a tuple that was never added is a no-op.
+        index.Remove(std::make_shared<const Tuple>(
+            MakeObj(scheme, -1, RandomLifespan(&rng), 0)));
+      }
+      if (step == 200) {
+        frozen = index;
+        for (int w = 0; w < 8; ++w) {
+          const Lifespan window = RandomWindow(&rng);
+          frozen_answers.emplace_back(window, frozen->Probe(window));
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(check("churn " + std::to_string(step)));
+    }
+    // Phase 3: shrink to empty; every run is purged.
+    while (!live.empty()) {
+      remove();
+      ASSERT_NO_FATAL_FAILURE(
+          check("shrink, " + std::to_string(live.size()) + " left"));
+    }
+    EXPECT_EQ(index.run_count(), 0u);
+    // Phase 4: regrow, rebuild into one run, and churn on top of it.
+    for (int step = 0; step < 200; ++step) add();
+    index.Rebuild(live_relation());
+    EXPECT_EQ(index.run_count(), 1u);
+    ASSERT_NO_FATAL_FAILURE(check("rebuild"));
+    for (int step = 0; step < 300; ++step) {
+      rng.Chance(0.6) ? remove() : add();
+      ASSERT_NO_FATAL_FAILURE(
+          check("after rebuild " + std::to_string(step)));
+    }
+
+    EXPECT_TRUE(merged_on_add);
+    EXPECT_TRUE(compacted_on_remove);
+    ASSERT_TRUE(frozen.has_value());
+    for (const auto& [window, answer] : frozen_answers) {
+      EXPECT_EQ(frozen->Probe(window), answer) << window.ToString();
+    }
   }
 }
 
@@ -327,6 +470,71 @@ TEST(DatabaseIndexTest, DmlMaintenanceKeepsIndexScansExact) {
   ExpectIndexScanParity(db, 2, Span(5, 25));
   ASSERT_TRUE(db.CloseAttribute("obj", "Y", 40).ok());
   ExpectIndexScanParity(db, 0, Span(30, 50));
+}
+
+// A pinned version's lifespan index shares its runs and tombstones with
+// the versions after it; later commits must never write through them.
+TEST(DatabaseIndexTest, PinnedVersionProbesSurviveLaterCommits) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(ObjScheme()).ok());
+  ASSERT_TRUE(db.CreateLifespanIndex("obj").ok());
+  SchemePtr scheme = *db.catalog().Get("obj");
+  auto key = [](int i) {
+    return std::vector<Value>{Value::String("o" + std::to_string(i))};
+  };
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(
+        db.Insert("obj", MakeObj(scheme, i, Span(i, i + 30), i % 5)).ok());
+  }
+  // Tombstones in the shared runs before the pin.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(db.AssignAt("obj", key(i), "X", i + 1, Value::Int(9)).ok());
+  }
+
+  const DatabaseVersionPtr pinned = db.CurrentVersion();
+  const LifespanIndex& frozen = *pinned->IndexesOf("obj")->lifespan();
+  std::vector<Lifespan> windows;
+  for (TimePoint b = 0; b < kHorizon; b += 7) windows.push_back(Span(b, b + 3));
+  windows.push_back(Span(0, kHorizon - 1));
+  auto render = [&] {
+    std::vector<std::string> out;
+    for (const Lifespan& w : windows) {
+      std::string line = w.ToString() + ":";
+      for (const TuplePtr& t : frozen.Probe(w)) {
+        line += " " + std::to_string(reinterpret_cast<uintptr_t>(t.get())) +
+                "=" + t->ToString();
+      }
+      out.push_back(std::move(line));
+    }
+    return out;
+  };
+  const std::vector<std::string> before = render();
+  const size_t entries_before = frozen.entry_count();
+
+  ASSERT_TRUE(db.Insert("obj", MakeObj(scheme, 100, Span(3, 9), 1)).ok());
+  for (int round = 0; round < 3; ++round) {
+    // Enough assignments to tombstone more than half of every run and
+    // cascade merges over the shared ones.
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_TRUE(db.AssignAt("obj", key(i), "X", i + 2 + round,
+                              Value::Int(round))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db.EndLifespan("obj", key(10), 25).ok());
+  ASSERT_TRUE(db.Reincarnate("obj", key(11), Span(70, 80)).ok());
+  ASSERT_TRUE(db.EndLifespan("obj", key(12), 12).ok());  // erases o12
+  ASSERT_FALSE(db.Get("obj").value()->FindByKey(key(12)).has_value());
+
+  EXPECT_EQ(render(), before);
+  EXPECT_EQ(frozen.entry_count(), entries_before);
+  // The live index moved on and still answers exactly.
+  const Relation& live = *db.Get("obj").value();
+  const LifespanIndex& current = *db.indexes("obj")->lifespan();
+  for (const Lifespan& w : windows) {
+    EXPECT_TRUE(SameTupleSet(current.Probe(w), NaiveAlive(live, w)))
+        << w.ToString();
+  }
 }
 
 TEST(DatabaseIndexTest, IndexDdlValidation) {

@@ -67,6 +67,29 @@ TEST(RelationTest, InsertDedupSkipsStructuralDuplicates) {
   EXPECT_EQ(r.FindAllByKey({Value::String("a")}).size(), 2u);
 }
 
+TEST(RelationTest, KeyedInsertDedupFindsDuplicatesOnTheKeyChain) {
+  // A keyed derived relation keeps no structural map: duplicates are found
+  // among the tuples sharing their key.
+  Relation r(Scheme());
+  const Tuple first = MakeTuple("a", 0, 10, 1);
+  const Tuple second = MakeTuple("a", 0, 10, 2);  // same key and lifespan
+  ASSERT_TRUE(r.InsertDedup(first).ok());
+  ASSERT_TRUE(r.InsertDedup(second).ok());
+  ASSERT_TRUE(r.InsertDedup(MakeTuple("b", 0, 10, 1)).ok());
+  EXPECT_EQ(r.size(), 3u);
+  ASSERT_TRUE(r.InsertDedup(MakeTuple("a", 0, 10, 2)).ok());  // exact dup
+  EXPECT_EQ(r.size(), 3u);
+  EXPECT_EQ(r.FindStructural(first), std::optional<size_t>(0));
+  EXPECT_EQ(r.FindStructural(second), std::optional<size_t>(1));
+  EXPECT_FALSE(r.FindStructural(MakeTuple("a", 0, 11, 1)).has_value());
+  EXPECT_FALSE(r.FindStructural(MakeTuple("c", 0, 10, 1)).has_value());
+  // The key chain follows replacement and erasure.
+  ASSERT_TRUE(r.ReplaceAt(0, MakeTuple("a", 0, 20, 1)).ok());
+  EXPECT_FALSE(r.FindStructural(first).has_value());
+  ASSERT_TRUE(r.EraseAt(0).ok());
+  EXPECT_EQ(r.FindStructural(second), std::optional<size_t>(0));
+}
+
 TEST(RelationTest, LSIsUnionOfTupleLifespans) {
   Relation r(Scheme());
   ASSERT_TRUE(r.Insert(MakeTuple("a", 0, 10, 1)).ok());

@@ -14,6 +14,7 @@
 //   HRDM_RECOVERY_DIFF_SEEDS=3 ctest -R RecoveryDifferential
 //   HRDM_SESSION_FUZZ_SEEDS=5 ctest -R SessionFuzz
 //   HRDM_CONCURRENCY_FUZZ_SEEDS=9 ctest -R ConcurrencyFuzz
+//   HRDM_LIFESPAN_INDEX_SEEDS=6 ctest -R LifespanIndexTest.RandomHistories
 //
 // (The crash harness also reads HRDM_CRASH_FSYNC=off|batched|always to
 // pick the child's WAL fsync policy; default "always".)
