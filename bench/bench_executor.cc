@@ -1,8 +1,8 @@
 // Experiment E1: streaming (cursor pipeline) vs materializing (recursive
 // interpreter) execution of the same HRQL trees.
 //
-// Shape to check: deep unary pipelines — the shape the optimizer's
-// push-down rules produce — stream end-to-end with zero intermediate
+// Shape to check: deep unary pipelines (restriction chains under a
+// projection) stream end-to-end with zero intermediate
 // relations, so the cursor path should win by avoiding per-stage
 // InsertDedup hashing and relation construction; blocking shapes (set ops)
 // should be roughly even, since both paths run the same whole-relation
@@ -57,8 +57,8 @@ int main() {
   using bench::Json;
 
   const Workload workloads[] = {
-      // The acceptance shape: a deep unary pipeline the optimizer produces
-      // via push-down. Streams end-to-end.
+      // The acceptance shape: a deep unary pipeline (slice, select, project
+      // over a scan). Streams end-to-end.
       {"deep_unary_pipeline",
        "project(select_when(timeslice(r0, {[20,160]}), A0 >= 30), Id, A0)",
        4000, 30},

@@ -1,6 +1,6 @@
 // Temporal aggregation walkthrough: grouped, time-varying aggregates over
 // a generated personnel history, driven end-to-end through the HRQL shell
-// path (parse → optimize → streaming plan → drain) via query::Run, plus
+// path (parse → lower to a streaming plan → drain) via query::Run, plus
 // one manually lowered plan to show the aggregate's EXPLAIN counters.
 //
 //   $ ./build/example_aggregation

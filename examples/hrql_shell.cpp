@@ -8,8 +8,10 @@
 //   <hrql expression>   evaluate (relation- or lifespan-sorted)
 //   \schema             print every relation scheme
 //   \snapshot REL T     print the classical table of REL at chronon T
-//   \optimize EXPR      show the rewritten form of a query
 //   \quit
+//
+// Exits 1, naming the failing step on stderr, if the demo database cannot
+// be built.
 
 #include <cstdio>
 #include <iostream>
@@ -17,7 +19,6 @@
 #include <string>
 
 #include "query/executor.h"
-#include "query/optimizer.h"
 #include "query/parser.h"
 #include "util/pretty.h"
 #include "util/random.h"
@@ -27,21 +28,27 @@ using namespace hrdm;
 
 namespace {
 
-storage::Database MakeDemoDb() {
+Status LoadRelation(storage::Database* db, const Relation& rel) {
+  HRDM_RETURN_IF_ERROR(db->CreateRelation(rel.scheme()));
+  for (const Tuple& t : rel) {
+    HRDM_RETURN_IF_ERROR(db->Insert(rel.scheme()->name(), t));
+  }
+  return Status::OK();
+}
+
+Status MakeDemoDb(storage::Database* db) {
   Rng rng(7);
-  storage::Database db;
   workload::PersonnelConfig emp_config;
   emp_config.num_employees = 25;
-  auto emp = *workload::MakePersonnel(&rng, emp_config);
-  (void)db.CreateRelation(emp.scheme());
-  for (const Tuple& t : emp) (void)db.Insert("emp", t);
+  HRDM_ASSIGN_OR_RETURN(Relation emp,
+                        workload::MakePersonnel(&rng, emp_config));
+  HRDM_RETURN_IF_ERROR(LoadRelation(db, emp));
 
   workload::StockMarketConfig stock_config;
   stock_config.num_tickers = 10;
-  auto stocks = *workload::MakeStockMarket(&rng, stock_config);
-  (void)db.CreateRelation(stocks.scheme());
-  for (const Tuple& t : stocks) (void)db.Insert("stocks", t);
-  return db;
+  HRDM_ASSIGN_OR_RETURN(Relation stocks,
+                        workload::MakeStockMarket(&rng, stock_config));
+  return LoadRelation(db, stocks);
 }
 
 void HandleCommand(const std::string& line, const storage::Database& db) {
@@ -51,30 +58,20 @@ void HandleCommand(const std::string& line, const storage::Database& db) {
     }
     return;
   }
-  if (line.rfind("\\snapshot ", 0) == 0) {
-    std::istringstream in(line.substr(10));
+  if (line == "\\snapshot" || line.rfind("\\snapshot ", 0) == 0) {
+    std::istringstream in(line.substr(9));
     std::string rel;
     long long t = 0;
-    in >> rel >> t;
+    if (!(in >> rel >> t) || !(in >> std::ws).eof()) {
+      std::printf("error: usage: \\snapshot REL T (T an integer chronon)\n");
+      return;
+    }
     auto r = db.Get(rel);
     if (!r.ok()) {
       std::printf("error: %s\n", r.status().ToString().c_str());
       return;
     }
     std::printf("%s\n", RenderSnapshot(**r, t).c_str());
-    return;
-  }
-  if (line.rfind("\\optimize ", 0) == 0) {
-    auto expr = query::ParseExpr(line.substr(10));
-    if (!expr.ok()) {
-      std::printf("error: %s\n", expr.status().ToString().c_str());
-      return;
-    }
-    query::OptimizerStats stats;
-    auto optimized = query::Optimize(*expr, &stats);
-    std::printf("%s\n(%d rewrites in %d passes)\n",
-                optimized->ToString().c_str(), stats.rules_applied,
-                stats.passes);
     return;
   }
   // A query: try the relation sort first, then the lifespan sort.
@@ -107,14 +104,19 @@ void HandleCommand(const std::string& line, const storage::Database& db) {
 }  // namespace
 
 int main() {
-  storage::Database db = MakeDemoDb();
+  storage::Database db;
+  if (Status s = MakeDemoDb(&db); !s.ok()) {
+    std::fprintf(stderr, "FATAL building the demo database: %s\n",
+                 s.ToString().c_str());
+    return 1;
+  }
   std::printf(
       "HRDM shell. Relations: emp, stocks. Try:\n"
       "  select_when(emp, Salary >= 150000)\n"
       "  when(select_when(emp, Dept = \"dept0\"))\n"
       "  timeslice(stocks, {[0,9]})\n"
       "  aggregate(emp, avg Salary by Dept)\n"
-      "  \\schema   \\snapshot emp 50   \\optimize <expr>   \\quit\n\n");
+      "  \\schema   \\snapshot emp 50   \\quit\n\n");
   std::string line;
   while (std::printf("hrdm> "), std::fflush(stdout),
          std::getline(std::cin, line)) {

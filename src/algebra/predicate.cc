@@ -1,7 +1,5 @@
 #include "algebra/predicate.h"
 
-#include <algorithm>
-
 namespace hrdm {
 
 std::string_view QuantifierName(Quantifier q) {
@@ -73,25 +71,6 @@ Result<Lifespan> Predicate::TimesWhere(const Tuple& t,
     if (acc.empty()) break;
   }
   return acc;
-}
-
-Result<bool> Predicate::HoldsAt(const Tuple& t, TimePoint s,
-                                ValueView view) const {
-  HRDM_ASSIGN_OR_RETURN(Lifespan where, TimesWhere(t, view));
-  return where.Contains(s);
-}
-
-std::vector<std::string> Predicate::ReferencedAttributes() const {
-  std::vector<std::string> out;
-  for (const Simple& s : conjuncts_) {
-    out.push_back(s.attr);
-    if (std::holds_alternative<std::string>(s.rhs)) {
-      out.push_back(std::get<std::string>(s.rhs));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::vector<std::pair<std::string, Value>> Predicate::EqualityConstants()

@@ -80,13 +80,6 @@ class Predicate {
                               ValueView view = ValueView::kModel,
                               const Lifespan* scope = nullptr) const;
 
-  /// \brief True if `t` satisfies the predicate at chronon `s`.
-  Result<bool> HoldsAt(const Tuple& t, TimePoint s,
-                       ValueView view = ValueView::kModel) const;
-
-  /// \brief Attribute names referenced by the predicate.
-  std::vector<std::string> ReferencedAttributes() const;
-
   /// \brief The sargable `attr = constant` conjuncts, in predicate order.
   /// Every returned binding must hold (at some chronon) for the whole
   /// predicate to hold there — the access-path chooser (query/optimizer.h)

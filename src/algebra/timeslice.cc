@@ -49,10 +49,6 @@ Result<Relation> TimeSlice(const Relation& r, const Lifespan& l) {
   return out;
 }
 
-Result<Relation> TimeSliceAt(const Relation& r, TimePoint t) {
-  return TimeSlice(r, Lifespan::Point(t));
-}
-
 Result<Relation> TimeSliceDynamic(const Relation& r, std::string_view attr) {
   HRDM_ASSIGN_OR_RETURN(size_t idx, DynSliceAttrIndex(*r.scheme(), attr));
   HRDM_ASSIGN_OR_RETURN(Relation m, MaterializeRelation(r));

@@ -31,9 +31,6 @@ namespace hrdm {
 /// \brief Static time-slice `T_L(r)`.
 Result<Relation> TimeSlice(const Relation& r, const Lifespan& l);
 
-/// \brief Snapshot convenience: `T_{[t,t]}(r)`.
-Result<Relation> TimeSliceAt(const Relation& r, TimePoint t);
-
 /// \brief Dynamic time-slice `T_@A(r)`. Errors if `attr` is unknown or not
 /// time-valued (DomainType::kTime).
 Result<Relation> TimeSliceDynamic(const Relation& r, std::string_view attr);

@@ -4,26 +4,6 @@
 
 namespace hrdm {
 
-std::string_view InterpolationKindName(InterpolationKind kind) {
-  switch (kind) {
-    case InterpolationKind::kDiscrete:
-      return "discrete";
-    case InterpolationKind::kStepwise:
-      return "stepwise";
-    case InterpolationKind::kLinear:
-      return "linear";
-  }
-  return "unknown";
-}
-
-Result<InterpolationKind> InterpolationKindFromName(std::string_view name) {
-  if (name == "discrete") return InterpolationKind::kDiscrete;
-  if (name == "stepwise") return InterpolationKind::kStepwise;
-  if (name == "linear") return InterpolationKind::kLinear;
-  return Status::InvalidArgument("unknown interpolation kind: " +
-                                 std::string(name));
-}
-
 namespace {
 
 /// Stepwise: stored segment k's value holds from its begin through the

@@ -38,12 +38,6 @@ enum class InterpolationKind : uint8_t {
   kLinear = 2,
 };
 
-/// \brief Stable name ("discrete", "stepwise", "linear").
-std::string_view InterpolationKindName(InterpolationKind kind);
-
-/// \brief Parses an InterpolationKindName back.
-Result<InterpolationKind> InterpolationKindFromName(std::string_view name);
-
 /// \brief Applies interpolation `kind` to the partially-represented
 /// function `stored`, producing a function defined on as much of `target`
 /// as the interpolation semantics allow:

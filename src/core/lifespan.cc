@@ -164,26 +164,6 @@ Lifespan Lifespan::Difference(const Lifespan& other) const {
   return ls;
 }
 
-std::vector<TimePoint> Lifespan::Materialize() const {
-  std::vector<TimePoint> pts;
-  pts.reserve(static_cast<size_t>(Cardinality()));
-  for (const Interval& iv : intervals_) {
-    for (TimePoint t = iv.begin; t <= iv.end; ++t) {
-      pts.push_back(t);
-      if (t == kTimeMax) break;  // Avoid overflow wrap.
-    }
-  }
-  return pts;
-}
-
-TimePoint Lifespan::NextOnOrAfter(TimePoint t) const {
-  for (const Interval& iv : intervals_) {
-    if (iv.end < t) continue;
-    return iv.begin >= t ? iv.begin : t;
-  }
-  return kTimeMax;
-}
-
 std::string Lifespan::ToString() const {
   std::string out = "{";
   for (size_t i = 0; i < intervals_.size(); ++i) {

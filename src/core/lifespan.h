@@ -15,8 +15,8 @@
 /// as [1,6]; canonicalisation merges such runs, which gives us O(n) set
 /// operations by linear sweep and makes equality of sets equality of
 /// representations. This is the paper's "representation level" coding of a
-/// lifespan; the "model level" view is the set of chronons, reachable via
-/// iteration or `Materialize()`.
+/// lifespan; the "model level" view is the set of chronons, reachable by
+/// iteration.
 
 #include <cstdint>
 #include <string>
@@ -78,10 +78,6 @@ class Lifespan {
   /// \brief Latest chronon. Requires !empty().
   TimePoint Max() const { return intervals_.back().end; }
 
-  /// \brief The smallest single interval covering the whole set.
-  /// Requires !empty().
-  Interval Extent() const { return Interval(Min(), Max()); }
-
   /// \brief Membership test, O(log n).
   bool Contains(TimePoint t) const;
 
@@ -106,13 +102,6 @@ class Lifespan {
   Lifespan ComplementWithin(const Lifespan& universe) const {
     return universe.Difference(*this);
   }
-
-  /// \brief All chronons in ascending order (model-level view). Linear in
-  /// cardinality — use for small lifespans and tests.
-  std::vector<TimePoint> Materialize() const;
-
-  /// \brief First chronon >= t in the set, or kTimeMax if none.
-  TimePoint NextOnOrAfter(TimePoint t) const;
 
   bool operator==(const Lifespan& other) const {
     return intervals_ == other.intervals_;

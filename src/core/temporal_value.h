@@ -81,9 +81,6 @@ class TemporalValue {
   /// such times, and thus does not exist").
   Value ValueAt(TimePoint t) const;
 
-  /// \brief True if defined at `t`.
-  bool DefinedAt(TimePoint t) const { return domain_.Contains(t); }
-
   /// \brief True if the function maps its whole domain to one value
   /// (member of `CD`). The domain may still be fragmented — a constant
   /// function over a reincarnation lifespan has several segments with one

@@ -189,14 +189,6 @@ std::vector<Value> Tuple::KeyValues() const {
   return key;
 }
 
-uint64_t Tuple::KeyHash() const {
-  uint64_t h = 14695981039346656037ULL;
-  for (size_t i : scheme_->key_indices()) {
-    h = (h ^ values_[i].ConstantValue().Hash()) * kFnvPrime;
-  }
-  return h;
-}
-
 bool Tuple::SameKeyAs(const Tuple& other) const {
   return KeyValues() == other.KeyValues();
 }

@@ -139,9 +139,6 @@ class Tuple {
   /// \brief The constant key values, in key-attribute order.
   std::vector<Value> KeyValues() const;
 
-  /// \brief Hash of the key values (for relation key indexes).
-  uint64_t KeyHash() const;
-
   /// \brief True if this tuple and `other` have equal key vectors at all
   /// pairs of chronons — with constant keys, equal key value vectors
   /// (mergability condition 2 / key-uniqueness condition of Section 3).

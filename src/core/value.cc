@@ -38,15 +38,6 @@ std::string_view DomainTypeName(DomainType type) {
   return "unknown";
 }
 
-Result<DomainType> DomainTypeFromName(std::string_view name) {
-  if (name == "bool") return DomainType::kBool;
-  if (name == "int") return DomainType::kInt;
-  if (name == "double") return DomainType::kDouble;
-  if (name == "string") return DomainType::kString;
-  if (name == "time") return DomainType::kTime;
-  return Status::InvalidArgument("unknown domain type: " + std::string(name));
-}
-
 DomainType Value::type() const {
   switch (payload_.index()) {
     case 1:

@@ -38,9 +38,6 @@ enum class DomainType : uint8_t {
 /// "time").
 std::string_view DomainTypeName(DomainType type);
 
-/// \brief Parses a DomainTypeName back; error on unknown names.
-Result<DomainType> DomainTypeFromName(std::string_view name);
-
 /// \brief Strong wrapper distinguishing time-valued atoms from plain ints
 /// inside the Value variant.
 struct TimeAtom {

@@ -192,10 +192,6 @@ ExprPtr ThetaJoinE(ExprPtr l, ExprPtr r, std::string attr_a, CompareOp op,
   return e;
 }
 
-ExprPtr NaturalJoinE(ExprPtr l, ExprPtr r) {
-  return Binary(ExprKind::kNaturalJoin, std::move(l), std::move(r));
-}
-
 ExprPtr TimeJoinE(ExprPtr l, ExprPtr r, std::string attr) {
   auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kTimeJoin;
@@ -236,19 +232,6 @@ LsExprPtr LsBinary(LsExprKind kind, LsExprPtr l, LsExprPtr r) {
   e->left = std::move(l);
   e->right = std::move(r);
   return e;
-}
-
-bool ExprEquals(const ExprPtr& a, const ExprPtr& b) {
-  if (a == b) return true;
-  if (!a || !b) return false;
-  // Structural comparison via the canonical textual form.
-  return a->ToString() == b->ToString();
-}
-
-bool LsExprEquals(const LsExprPtr& a, const LsExprPtr& b) {
-  if (a == b) return true;
-  if (!a || !b) return false;
-  return a->ToString() == b->ToString();
 }
 
 }  // namespace hrdm::query

@@ -117,7 +117,6 @@ ExprPtr DynSliceE(ExprPtr e, std::string attr);
 ExprPtr Binary(ExprKind kind, ExprPtr l, ExprPtr r);
 ExprPtr ThetaJoinE(ExprPtr l, ExprPtr r, std::string attr_a, CompareOp op,
                    std::string attr_b);
-ExprPtr NaturalJoinE(ExprPtr l, ExprPtr r);
 ExprPtr TimeJoinE(ExprPtr l, ExprPtr r, std::string attr);
 ExprPtr AggregateE(ExprPtr e, AggregateFn fn, std::string value_attr,
                    std::vector<std::string> group_by);
@@ -125,10 +124,6 @@ ExprPtr AggregateE(ExprPtr e, AggregateFn fn, std::string value_attr,
 LsExprPtr LsLiteral(Lifespan l);
 LsExprPtr WhenE(ExprPtr e);
 LsExprPtr LsBinary(LsExprKind kind, LsExprPtr l, LsExprPtr r);
-
-/// \brief Structural equality of expression trees (used by optimizer tests).
-bool ExprEquals(const ExprPtr& a, const ExprPtr& b);
-bool LsExprEquals(const LsExprPtr& a, const LsExprPtr& b);
 
 }  // namespace hrdm::query
 

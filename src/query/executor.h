@@ -8,9 +8,9 @@
 ///
 ///  * **Streaming** (the default, `Eval`): the tree is lowered to a
 ///    physical plan of batch-at-a-time cursors (query/plan.h) and drained.
-///    Unary pipelines (`timeslice` → `select_*` → `project` chains, the
-///    shape the optimizer produces) stream end-to-end without materializing
-///    any intermediate relation; blocking operators buffer internally.
+///    Unary pipelines (`timeslice` → `select_*` → `project` chains) stream
+///    end-to-end without materializing any intermediate relation; blocking
+///    operators buffer internally.
 ///
 ///  * **Materializing** (`EvalMaterializing`): the original recursive
 ///    interpreter — each AST node evaluates its children to whole
@@ -100,7 +100,7 @@ Result<Lifespan> EvalLifespan(const LsExprPtr& expr,
                               const storage::DatabaseVersion& version);
 
 /// \brief Convenience: parse and evaluate a relation-sorted HRQL string
-/// (parse + execute; the optimizer's `Optimize` is not applied).
+/// (parse + execute the tree as written).
 Result<Relation> Run(std::string_view hrql,
                      const storage::DatabaseVersion& version);
 

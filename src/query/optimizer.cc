@@ -202,18 +202,6 @@ size_t ChooseBatchSize(size_t requested) {
   return std::max<size_t>(1, std::min(wanted, kMorselSize));
 }
 
-std::string_view AccessPathName(AccessPath p) {
-  switch (p) {
-    case AccessPath::kFullScan:
-      return "full_scan";
-    case AccessPath::kLifespanIndex:
-      return "lifespan_index";
-    case AccessPath::kValueIndex:
-      return "value_index";
-  }
-  return "unknown";
-}
-
 AccessPathChoice ChooseAccessPath(const Expr& op, const IndexCatalogFn& indexes,
                                   const CardinalityFn& card) {
   AccessPathChoice choice;
@@ -281,202 +269,6 @@ AccessPathChoice ChooseAccessPath(const Expr& op, const IndexCatalogFn& indexes,
     choice.path = AccessPath::kLifespanIndex;
   }
   return choice;
-}
-
-namespace {
-
-constexpr int kMaxPasses = 16;
-
-/// One bottom-up rewrite pass. Increments *applied for each rule fired.
-ExprPtr RewriteOnce(const ExprPtr& e, int* applied);
-
-LsExprPtr RewriteLsOnce(const LsExprPtr& e, int* applied) {
-  if (!e) return e;
-  switch (e->kind) {
-    case LsExprKind::kLiteral:
-      return e;
-    case LsExprKind::kWhen: {
-      ExprPtr inner = RewriteOnce(e->relation, applied);
-      if (inner == e->relation) return e;
-      return WhenE(std::move(inner));
-    }
-    case LsExprKind::kUnion:
-    case LsExprKind::kIntersect:
-    case LsExprKind::kDifference: {
-      LsExprPtr l = RewriteLsOnce(e->left, applied);
-      LsExprPtr r = RewriteLsOnce(e->right, applied);
-      // Rule 7: fold literal ∘ literal.
-      if (l->kind == LsExprKind::kLiteral &&
-          r->kind == LsExprKind::kLiteral) {
-        ++*applied;
-        switch (e->kind) {
-          case LsExprKind::kUnion:
-            return LsLiteral(l->literal.Union(r->literal));
-          case LsExprKind::kIntersect:
-            return LsLiteral(l->literal.Intersect(r->literal));
-          case LsExprKind::kDifference:
-            return LsLiteral(l->literal.Difference(r->literal));
-          case LsExprKind::kLiteral:
-          case LsExprKind::kWhen:
-            break;  // unreachable: the outer case covers ∪ ∩ − only
-        }
-        return LsBinary(e->kind, std::move(l), std::move(r));
-      }
-      if (l == e->left && r == e->right) return e;
-      return LsBinary(e->kind, std::move(l), std::move(r));
-    }
-  }
-  return e;
-}
-
-bool IsLiteralWindow(const LsExprPtr& w) {
-  return w && w->kind == LsExprKind::kLiteral;
-}
-
-ExprPtr RewriteOnce(const ExprPtr& e, int* applied) {
-  if (!e) return e;
-
-  // Recurse into children first (bottom-up).
-  ExprPtr left = e->left ? RewriteOnce(e->left, applied) : nullptr;
-  ExprPtr right = e->right ? RewriteOnce(e->right, applied) : nullptr;
-  LsExprPtr window = e->window ? RewriteLsOnce(e->window, applied) : nullptr;
-
-  auto rebuild = [&]() -> ExprPtr {
-    if (left == e->left && right == e->right && window == e->window) return e;
-    auto copy = std::make_shared<Expr>(*e);
-    copy->left = left;
-    copy->right = right;
-    copy->window = window;
-    return copy;
-  };
-
-  switch (e->kind) {
-    case ExprKind::kTimeSlice: {
-      // Rule 1: fuse nested static time-slices (literal windows).
-      if (left->kind == ExprKind::kTimeSlice && IsLiteralWindow(window) &&
-          IsLiteralWindow(left->window)) {
-        ++*applied;
-        return TimeSliceE(left->left,
-                          LsLiteral(window->literal.Intersect(
-                              left->window->literal)));
-      }
-      // Rule 3: push the slice below select_when.
-      if (left->kind == ExprKind::kSelectWhen) {
-        ++*applied;
-        return SelectWhenE(TimeSliceE(left->left, window),
-                           *left->predicate);
-      }
-      // Rule 4: distribute over union.
-      if (left->kind == ExprKind::kUnion) {
-        ++*applied;
-        return Binary(ExprKind::kUnion, TimeSliceE(left->left, window),
-                      TimeSliceE(left->right, window));
-      }
-      return rebuild();
-    }
-    case ExprKind::kSelectWhen: {
-      // Rule 2: fuse stacked select_when (select commutativity).
-      if (left->kind == ExprKind::kSelectWhen) {
-        ++*applied;
-        return SelectWhenE(left->left, Predicate::And({*left->predicate,
-                                                       *e->predicate}));
-      }
-      // Rule 4: distribute over union.
-      if (left->kind == ExprKind::kUnion) {
-        ++*applied;
-        return Binary(ExprKind::kUnion,
-                      SelectWhenE(left->left, *e->predicate),
-                      SelectWhenE(left->right, *e->predicate));
-      }
-      return rebuild();
-    }
-    case ExprKind::kSelectIf: {
-      // Rule 5: SELECT-IF distributes over ∪, ∩ and − (pure filter).
-      if (left->kind == ExprKind::kUnion ||
-          left->kind == ExprKind::kIntersect ||
-          left->kind == ExprKind::kDifference) {
-        // Only when an explicit window is given: the implicit window is
-        // LS(r), which differs between the operand relations.
-        if (window) {
-          ++*applied;
-          return Binary(
-              left->kind,
-              SelectIfE(left->left, *e->predicate, e->quantifier, window),
-              SelectIfE(left->right, *e->predicate, e->quantifier, window));
-        }
-      }
-      return rebuild();
-    }
-    case ExprKind::kProject: {
-      // Rule 6: project-project fusion.
-      if (left->kind == ExprKind::kProject) {
-        ++*applied;
-        return ProjectE(left->left, e->attrs);
-      }
-      return rebuild();
-    }
-    // No rewrite rules fire at these node shapes (yet): rebuild with the
-    // recursively rewritten children.
-    case ExprKind::kRelationRef:
-    case ExprKind::kDynSlice:
-    case ExprKind::kUnion:
-    case ExprKind::kIntersect:
-    case ExprKind::kDifference:
-    case ExprKind::kUnionO:
-    case ExprKind::kIntersectO:
-    case ExprKind::kDifferenceO:
-    case ExprKind::kProduct:
-    case ExprKind::kThetaJoin:
-    case ExprKind::kNaturalJoin:
-    case ExprKind::kTimeJoin:
-    case ExprKind::kAggregate:
-      return rebuild();
-  }
-  return rebuild();
-}
-
-}  // namespace
-
-ExprPtr Optimize(const ExprPtr& expr, OptimizerStats* stats) {
-  ExprPtr current = expr;
-  int total = 0;
-  int passes = 0;
-  for (; passes < kMaxPasses; ++passes) {
-    int applied = 0;
-    ExprPtr next = RewriteOnce(current, &applied);
-    total += applied;
-    if (applied == 0) {
-      current = next;
-      break;
-    }
-    current = next;
-  }
-  if (stats != nullptr) {
-    stats->rules_applied = total;
-    stats->passes = passes + 1;
-  }
-  return current;
-}
-
-LsExprPtr OptimizeLs(const LsExprPtr& expr, OptimizerStats* stats) {
-  LsExprPtr current = expr;
-  int total = 0;
-  int passes = 0;
-  for (; passes < kMaxPasses; ++passes) {
-    int applied = 0;
-    LsExprPtr next = RewriteLsOnce(current, &applied);
-    total += applied;
-    if (applied == 0) {
-      current = next;
-      break;
-    }
-    current = next;
-  }
-  if (stats != nullptr) {
-    stats->rules_applied = total;
-    stats->passes = passes + 1;
-  }
-  return current;
 }
 
 }  // namespace hrdm::query

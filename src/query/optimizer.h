@@ -2,44 +2,18 @@
 #define HRDM_QUERY_OPTIMIZER_H_
 
 /// \file optimizer.h
-/// \brief Algebraic rewrite optimizer for HRQL query trees, plus the two
-/// physical choosers consulted at lowering time: join strategy
-/// (`ChooseJoinStrategy`) and base-relation access path
-/// (`ChooseAccessPath`).
+/// \brief The physical choosers consulted when a query tree is lowered to a
+/// cursor plan (query/plan.h): join strategy (`ChooseJoinStrategy`),
+/// base-relation access path (`ChooseAccessPath`), degree of parallelism
+/// (`ChooseParallelism`) and batch size (`ChooseBatchSize`), plus the
+/// cardinality estimates that drive them.
 ///
-/// Section 5 of the paper sketches the algebraic identities of the
-/// historical algebra: "the commutativity of select, the distribution of
-/// select over the binary set-theoretic operators ... the distribution of
-/// TIMESLICE over the binary set-theoretic operators, commutativity of
-/// TIMESLICE with both flavors of SELECT". The optimizer implements these
-/// as rewrite rules; tests/optimizer_test.cc verifies on random databases
-/// that every rewrite preserves the query answer, which operationalises the
-/// paper's claims.
-///
-/// Implemented rules (all answer-preserving, property-tested):
-///
-///  1. timeslice fusion:
-///       timeslice(timeslice(e, L1), L2) → timeslice(e, L1 ∩ L2)
-///  2. select-when fusion (commutativity of select):
-///       select_when(select_when(e, p1), p2) → select_when(e, p1 AND p2)
-///  3. TIMESLICE/SELECT-WHEN commutativity, used to push the slice down:
-///       timeslice(select_when(e, p), L) → select_when(timeslice(e, L), p)
-///  4. distribution over UNION (for rewriting operators):
-///       timeslice(union(e1, e2), L) → union(timeslice(e1,L), timeslice(e2,L))
-///       select_when(union(e1, e2), p) → union(select_when(e1,p), ...)
-///  5. SELECT-IF distribution over all three set operators (SELECT-IF is a
-///     pure tuple filter, so it distributes over ∪, ∩ and −):
-///       select_if(union(e1,e2), ...) → union(select_if(e1,...), ...), etc.
-///  6. projection fusion:
-///       project(project(e, X), Y) → project(e, Y)
-///  7. lifespan-literal folding inside window expressions
-///     (lunion/lintersect/lminus of literals).
-///
-/// Note the asymmetry the paper glosses over: TIMESLICE and SELECT-WHEN
-/// *rewrite* tuples, so they distribute over ∪ but not over ∩ or − (two
-/// different tuples can become equal after restriction); SELECT-IF filters
-/// whole tuples and distributes over all three. The test suite demonstrates
-/// the ∪-only distribution with counterexamples for −.
+/// None of them rewrites the tree: the plan runs the operators as
+/// written, and every choice only picks *how* an operator runs, never what
+/// it answers. The Section 5 algebraic identities are properties of the
+/// operators themselves, checked in tests/algebra_laws_test.cc; the one
+/// identity the lowering exploits (fusing a TIME-SLICE / SELECT-WHEN
+/// restriction chain over a scan) lives in plan.cc.
 
 #include <cstdint>
 #include <functional>
@@ -51,16 +25,10 @@
 
 namespace hrdm::query {
 
-/// \brief Statistics from one Optimize run.
-struct OptimizerStats {
-  int rules_applied = 0;
-  int passes = 0;
-};
-
 // --- join strategy selection -------------------------------------------------
 //
-// Beyond tree rewrites, the optimizer picks a *physical* strategy for every
-// JOIN node when the tree is lowered to a cursor plan (query/plan.h):
+// The planner picks a *physical* strategy for every JOIN node when the tree
+// is lowered to a cursor plan (query/plan.h):
 //
 //  * kNestedLoop — pairwise θ-evaluation streaming the left input against a
 //    buffered right input. Always correct; O(|l|·|r|) pair checks.
@@ -160,8 +128,6 @@ enum class AccessPath : uint8_t {
   kLifespanIndex,
   kValueIndex,
 };
-
-std::string_view AccessPathName(AccessPath p);
 
 /// \brief Which indexes exist on a base relation — the optimizer's view of
 /// the catalog's registrations (storage::IndexSpec), decoupled through a
@@ -265,14 +231,6 @@ size_t DefaultBatchSize();
 /// the unit of parallel work distribution, so batch-filling drains and
 /// morsel-parallel phases (ChooseParallelism) stay composable.
 size_t ChooseBatchSize(size_t requested);
-
-/// \brief Applies the rewrite rules to a fixpoint (bounded) and returns the
-/// rewritten tree. `stats`, if non-null, receives counters.
-ExprPtr Optimize(const ExprPtr& expr, OptimizerStats* stats = nullptr);
-
-/// \brief Rewrites a lifespan-sorted tree (literal folding, recursion into
-/// when()).
-LsExprPtr OptimizeLs(const LsExprPtr& expr, OptimizerStats* stats = nullptr);
 
 }  // namespace hrdm::query
 

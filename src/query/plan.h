@@ -4,13 +4,12 @@
 /// \file plan.h
 /// \brief The physical execution layer: batch-at-a-time cursor pipelines.
 ///
-/// Sits between the optimizer and the algebra. A query tree is *lowered*
+/// Sits between the parser and the algebra. A query tree is *lowered*
 /// to a tree of cursors, each pulling a `TupleBatch` — a vector of
 /// `std::shared_ptr<const Tuple>` handles, `PlanContext::batch_size`
 /// (default ~1024) per batch — from its child via `NextBatch()`. No
 /// intermediate `Relation` is ever materialized along a unary pipeline
-/// (the shape the optimizer's push-down rules produce:
-/// `project(select_when(timeslice(r, L), p), X)` streams end-to-end with
+/// (`project(select_when(timeslice(r, L), p), X)` streams end-to-end with
 /// one batch in flight per operator), and the per-pull virtual-call and
 /// handle-shuffling overhead is amortized over whole batches: each
 /// operator runs its kernel in a tight loop over the batch it holds.
@@ -224,8 +223,8 @@ struct PlanStats {
   size_t agg_fallback_tuples = 0;
   /// --- batch execution (see the header comment; util/arena.h) ------------
   /// Batches emitted by all cursors of the plan, and the tuples they
-  /// carried. `batch_fill_avg()` is their ratio — how full the average
-  /// batch ran (a selective filter or a tiny input drives it down).
+  /// carried. Their ratio is how full the average batch ran (a selective
+  /// filter or a tiny input drives it down).
   size_t batches_emitted = 0;
   size_t batch_tuples = 0;
   /// Bytes of per-query tuple temporaries served by the plan's arena
@@ -245,13 +244,6 @@ struct PlanStats {
   /// Tuples processed by each pool worker (index = worker id) — the
   /// per-thread EXPLAIN counters. Empty for a fully serial plan.
   std::vector<size_t> worker_tuples;
-
-  double batch_fill_avg() const {
-    return batches_emitted == 0
-               ? 0.0
-               : static_cast<double>(batch_tuples) /
-                     static_cast<double>(batches_emitted);
-  }
 
   void OnParallelOperator(size_t effective) {
     if (effective > parallelism) parallelism = effective;

@@ -57,11 +57,6 @@ class Session {
   explicit Session(storage::DatabaseVersionPtr version)
       : version_(std::move(version)) {}
 
-  /// \brief The pinned version's monotonic id: total order of commits, so
-  /// `a.version_id() <= b.version_id()` iff `a` sees a prefix of what `b`
-  /// sees.
-  uint64_t version_id() const { return version_->id; }
-
   /// \brief The pinned version itself (immutable; lives at least as long
   /// as this session).
   const storage::DatabaseVersion& version() const { return *version_; }

@@ -160,8 +160,4 @@ Status Catalog::ReopenAttribute(std::string_view relation,
   return Mutate(relation, std::move(replacement));
 }
 
-Status Catalog::Replace(SchemePtr scheme) {
-  return Mutate(scheme->name(), scheme);
-}
-
 }  // namespace hrdm::storage

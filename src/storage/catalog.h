@@ -90,10 +90,6 @@ class Catalog {
   Status ReopenAttribute(std::string_view relation, std::string_view attr,
                          const Lifespan& span);
 
-  /// \brief Replaces a registered scheme wholesale (used by Database after
-  /// rebinding and by snapshot load).
-  Status Replace(SchemePtr scheme);
-
   // --- statistics ------------------------------------------------------------
 
   /// \brief Records the stored tuple count of `relation` (maintained by

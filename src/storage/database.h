@@ -86,12 +86,6 @@ class Database {
   /// immutable and lock-free to read for the pin's whole lifetime.
   DatabaseVersionPtr CurrentVersion() const { return versions_->Pin(); }
 
-  /// \brief The publish cell itself (stable address across Database moves;
-  /// the storage engine aliases it for its lock-free session read path).
-  const util::VersionCell<DatabaseVersion>& version_cell() const {
-    return *versions_;
-  }
-
   // --- schema ---------------------------------------------------------------
 
   /// \brief Creates an empty relation on a new keyed scheme.
@@ -177,10 +171,6 @@ class Database {
   Status RegisterForeignKey(std::string child,
                             std::vector<std::string> attrs,
                             std::string parent);
-
-  const std::vector<ForeignKey>& foreign_keys() const {
-    return versions_->Peek().fks;
-  }
 
   /// \brief Runs all integrity checks: per-relation well-formedness plus
   /// every registered temporal foreign key. Returns the full violation

@@ -38,14 +38,6 @@ std::string_view FsyncPolicyName(FsyncPolicy policy) {
   return "unknown";
 }
 
-Result<FsyncPolicy> ParseFsyncPolicy(std::string_view name) {
-  if (name == "off") return FsyncPolicy::kOff;
-  if (name == "batched") return FsyncPolicy::kBatched;
-  if (name == "always") return FsyncPolicy::kAlways;
-  return Status::InvalidArgument("unknown fsync policy: " + std::string(name) +
-                                 " (expected off|batched|always)");
-}
-
 std::string FrameWalRecord(std::string_view record) {
   std::string frame;
   frame.reserve(kWalFrameOverhead + record.size());
@@ -125,7 +117,6 @@ Result<WalWriter> WalWriter::Open(const std::string& path, Options options) {
 Status WalWriter::Append(std::string_view record) {
   const std::string frame = FrameWalRecord(record);
   HRDM_RETURN_IF_ERROR(file_.Append(frame));
-  ++appended_records_;
   switch (options_.fsync) {
     case FsyncPolicy::kOff:
       break;

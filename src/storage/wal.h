@@ -67,10 +67,6 @@ enum class FsyncPolicy : uint8_t {
 
 std::string_view FsyncPolicyName(FsyncPolicy policy);
 
-/// \brief Parses "off" / "batched" / "always" (as used by the
-/// HRDM_CRASH_FSYNC env knob and bench_storage).
-Result<FsyncPolicy> ParseFsyncPolicy(std::string_view name);
-
 /// \brief The 8-byte WAL file header: magic + format version.
 inline constexpr char kWalHeader[8] = {'H', 'R', 'D', 'M',
                                        'W', 'A', 'L', '\x01'};
@@ -124,10 +120,6 @@ class WalWriter {
   /// checkpoint barrier.
   Status Sync();
 
-  /// \brief Records appended through this writer (not counting records
-  /// already in the file when it was opened).
-  uint64_t appended_records() const { return appended_records_; }
-
   const std::string& path() const { return file_.path(); }
 
  private:
@@ -136,7 +128,6 @@ class WalWriter {
 
   util::AppendFile file_;
   Options options_;
-  uint64_t appended_records_ = 0;
   size_t unsynced_bytes_ = 0;
 };
 

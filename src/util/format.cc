@@ -31,21 +31,6 @@ void AppendDouble(std::string* out, double v) {
   out->append(buf, static_cast<size_t>(n));
 }
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string QuoteString(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -55,20 +40,6 @@ std::string QuoteString(std::string_view s) {
     out.push_back(c);
   }
   out.push_back('"');
-  return out;
-}
-
-std::string UnescapeString(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      out.push_back(s[i + 1]);
-      ++i;
-    } else {
-      out.push_back(s[i]);
-    }
-  }
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace hrdm {
 
@@ -20,20 +19,9 @@ void AppendInt(std::string* out, int64_t v);
 /// \brief Appends the shortest round-trippable rendering of `v` to `out`.
 void AppendDouble(std::string* out, double v);
 
-/// \brief Renders a double for display (6 significant digits, trailing
-/// zeroes trimmed).
-std::string FormatDouble(double v);
-
-/// \brief Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// \brief Quotes a string for HRQL / debug output: wraps in double quotes
 /// and backslash-escapes `"` and `\`.
 std::string QuoteString(std::string_view s);
-
-/// \brief Inverse of QuoteString on the *contents* (no surrounding quotes):
-/// resolves backslash escapes. Invalid escapes are passed through verbatim.
-std::string UnescapeString(std::string_view s);
 
 /// \brief printf-style formatting into a std::string (bounded to 4 KiB).
 std::string StrPrintf(const char* fmt, ...)

@@ -1,7 +1,15 @@
-// Cross-operator algebraic laws, verified directly at the algebra level
-// (the optimizer tests verify them through the query layer; this suite
-// pins the operators themselves, including laws about the object-based
-// operators that the paper implies but never states).
+// Cross-operator algebraic laws, verified directly at the algebra level:
+// the Section 5 identities (commutativity of the selects, TIME-SLICE /
+// SELECT-WHEN commutation, distribution over the set operators) plus laws
+// about the object-based operators that the paper implies but never
+// states.
+//
+// Note the asymmetry the paper glosses over when it claims TIME-SLICE
+// distributes over "the binary set-theoretic operators": TIME-SLICE and
+// SELECT-WHEN *rewrite* tuples, so they distribute over ∪ but not over ∩
+// or − (two different tuples can become equal after restriction);
+// SELECT-IF filters whole tuples and distributes over all three.
+// AlgebraCounterexampleTest pins the counterexample for −.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +33,24 @@ std::pair<Relation, Relation> Pair(uint64_t seed, double overlap = 0.6) {
   config.num_tuples = 12;
   config.num_value_attrs = 2;
   return *workload::MakeMergeablePair(&rng, config, overlap);
+}
+
+/// Two union-compatible relations where r2 holds every other tuple of r1
+/// verbatim plus the other side of a mergeable pair, so r1 ∩ r2 and
+/// r1 − r2 are both non-trivial and shared keys carry different histories.
+std::pair<Relation, Relation> Overlapping(uint64_t seed) {
+  auto [r1, other] = Pair(seed);
+  Relation r2(r1.scheme());
+  size_t i = 0;
+  for (const TuplePtr& t : r1.tuple_ptrs()) {
+    if (i++ % 2 == 0) {
+      EXPECT_TRUE(r2.InsertDedup(t).ok());
+    }
+  }
+  for (const TuplePtr& t : other.tuple_ptrs()) {
+    EXPECT_TRUE(r2.InsertDedup(t).ok());
+  }
+  return {std::move(r1), std::move(r2)};
 }
 
 Relation One(uint64_t seed) {
@@ -62,6 +88,80 @@ TEST_P(AlgebraLawsTest, SelectWhenCommutativity) {
   auto a = *SelectWhen(*SelectWhen(r, p1), p2);
   auto b = *SelectWhen(*SelectWhen(r, p2), p1);
   EXPECT_TRUE(a.EqualsAsSet(b));
+}
+
+TEST_P(AlgebraLawsTest, TimesliceDistributesOverUnion) {
+  auto [r1, r2] = Pair(GetParam() * 41 + 12);
+  const Lifespan l = Lifespan::FromIntervals({Interval(4, 22),
+                                              Interval(35, 50)});
+  auto sliced_union = *TimeSlice(*Union(r1, r2), l);
+  auto union_of_slices = *Union(*TimeSlice(r1, l), *TimeSlice(r2, l));
+  EXPECT_TRUE(sliced_union.EqualsAsSet(union_of_slices));
+}
+
+TEST_P(AlgebraLawsTest, SelectWhenDistributesOverUnion) {
+  auto [r1, r2] = Pair(GetParam() * 43 + 13);
+  Predicate p = Predicate::AttrConst("A0", CompareOp::kLe, Value::Int(50));
+  auto selected_union = *SelectWhen(*Union(r1, r2), p);
+  auto union_of_selects = *Union(*SelectWhen(r1, p), *SelectWhen(r2, p));
+  EXPECT_TRUE(selected_union.EqualsAsSet(union_of_selects));
+}
+
+TEST_P(AlgebraLawsTest, SelectIfWithWindowDistributesOverSetOps) {
+  // SELECT-IF keeps or drops whole tuples, so it distributes over all
+  // three standard set operators, under either quantifier.
+  auto [r1, r2] = Overlapping(GetParam() * 47 + 14);
+  Predicate p = Predicate::AttrConst("A0", CompareOp::kLe, Value::Int(40));
+  const Lifespan window = Span(0, 59);
+  using SetOp = Result<Relation> (*)(const Relation&, const Relation&);
+  for (const auto& [name, op] : {std::pair<const char*, SetOp>{"∪", &Union},
+                                 {"∩", &Intersect},
+                                 {"−", &Difference}}) {
+    for (Quantifier q : {Quantifier::kExists, Quantifier::kForall}) {
+      SCOPED_TRACE(std::string(name) + " " +
+                   std::string(QuantifierName(q)));
+      auto selected = *SelectIf(*op(r1, r2), p, q, window);
+      auto distributed =
+          *op(*SelectIf(r1, p, q, window), *SelectIf(r2, p, q, window));
+      EXPECT_TRUE(selected.EqualsAsSet(distributed));
+    }
+  }
+}
+
+TEST(AlgebraCounterexampleTest, TimesliceDoesNotDistributeOverDifference) {
+  // Two tuples of one object that differ overall but become identical
+  // after slicing: distributing TIME-SLICE over − changes the answer. This
+  // refines the paper's blanket claim that TIME-SLICE distributes over
+  // "the binary set-theoretic operators".
+  const Lifespan full = Span(0, 19);
+  auto scheme = *RelationScheme::Make(
+      "d",
+      {{"Id", DomainType::kString, full, InterpolationKind::kDiscrete},
+       {"X", DomainType::kInt, full, InterpolationKind::kDiscrete}},
+      {"Id"});
+  Relation r1(scheme), r2(scheme);
+  {
+    Tuple::Builder b(scheme, Span(0, 19));  // long history
+    b.SetConstant("Id", Value::String("a"));
+    b.SetConstant("X", Value::Int(1));
+    ASSERT_TRUE(r1.Insert(*std::move(b).Build()).ok());
+  }
+  {
+    Tuple::Builder b(scheme, Span(0, 9));  // short history, same values
+    b.SetConstant("Id", Value::String("a"));
+    b.SetConstant("X", Value::Int(1));
+    ASSERT_TRUE(r2.Insert(*std::move(b).Build()).ok());
+  }
+  const Lifespan window = Span(0, 9);
+  // LHS: slice(r1 − r2): r1's tuple ∉ r2 (different lifespan), survives,
+  // then sliced to [0,9].
+  auto lhs = *TimeSlice(*Difference(r1, r2), window);
+  EXPECT_EQ(lhs.size(), 1u);
+  // RHS: slice(r1) − slice(r2): after slicing both tuples are identical,
+  // so the difference is empty.
+  auto rhs = *Difference(*TimeSlice(r1, window), *TimeSlice(r2, window));
+  EXPECT_TRUE(rhs.empty());
+  EXPECT_FALSE(lhs.EqualsAsSet(rhs));
 }
 
 TEST_P(AlgebraLawsTest, ProjectFusion) {

@@ -127,7 +127,7 @@ void ExpectBoundaryClean(const storage::Database& db, const std::string& hrql,
   const PlanStats& stats = plan->stats();
   EXPECT_GE(stats.batch_tuples, stats.batches_emitted);  // non-empty batches
   if (stats.batches_emitted > 0) {
-    EXPECT_LE(stats.batch_fill_avg(), static_cast<double>(kB));
+    EXPECT_LE(stats.batch_tuples, kB * stats.batches_emitted);
   }
 }
 

@@ -52,7 +52,7 @@ constexpr int kOps = 120;
 FsyncPolicy PolicyFromEnv() {
   const char* raw = std::getenv(kPolicyEnv);
   if (raw == nullptr || *raw == '\0') return FsyncPolicy::kAlways;
-  auto parsed = ParseFsyncPolicy(raw);
+  auto parsed = testing::ParseFsyncPolicy(raw);
   return parsed.ok() ? *parsed : FsyncPolicy::kAlways;
 }
 

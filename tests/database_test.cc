@@ -201,7 +201,7 @@ TEST(DatabaseTest, SnapshotRoundTrip) {
   auto loaded = ReadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->ToString(), db.ToString());
-  EXPECT_EQ(loaded->foreign_keys().size(), 1u);
+  EXPECT_EQ(loaded->CurrentVersion()->fks.size(), 1u);
   // The envelope keeps the index registrations and rebuilds their data.
   const auto indexes = loaded->catalog().Indexes("emp");
   ASSERT_TRUE(indexes.has_value());

@@ -51,7 +51,7 @@ void ExpectIndexScanParity(const Database& db, const query::ExprPtr& expr) {
     ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
     EXPECT_TRUE(full->EqualsAsSet(*indexed))
         << expr->ToString() << " diverges under "
-        << query::AccessPathName(path) << "\nfull scan:\n"
+        << testing::AccessPathName(path) << "\nfull scan:\n"
         << full->ToString() << "\nindex scan:\n"
         << indexed->ToString();
   }

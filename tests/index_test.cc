@@ -17,6 +17,7 @@
 #include "query/optimizer.h"
 #include "query/plan.h"
 #include "storage/database.h"
+#include "storage_test_util.h"
 #include "test_seeds.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -423,7 +424,7 @@ void ExpectIndexScanParity(const Database& db, int x_probe,
       auto indexed = EvalForced(db, q, path);
       ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
       EXPECT_TRUE(full->EqualsAsSet(*indexed))
-          << q->ToString() << " under " << query::AccessPathName(path)
+          << q->ToString() << " under " << testing::AccessPathName(path)
           << "\nfull:\n"
           << full->ToString() << "\nindexed:\n"
           << indexed->ToString();

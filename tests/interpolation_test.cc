@@ -8,6 +8,28 @@
 namespace hrdm {
 namespace {
 
+/// Display name of an interpolation kind, for failure messages.
+std::string_view InterpolationKindName(InterpolationKind kind) {
+  switch (kind) {
+    case InterpolationKind::kDiscrete:
+      return "discrete";
+    case InterpolationKind::kStepwise:
+      return "stepwise";
+    case InterpolationKind::kLinear:
+      return "linear";
+  }
+  return "unknown";
+}
+
+/// Parses an InterpolationKindName back.
+Result<InterpolationKind> InterpolationKindFromName(std::string_view name) {
+  if (name == "discrete") return InterpolationKind::kDiscrete;
+  if (name == "stepwise") return InterpolationKind::kStepwise;
+  if (name == "linear") return InterpolationKind::kLinear;
+  return Status::InvalidArgument("unknown interpolation kind: " +
+                                 std::string(name));
+}
+
 TemporalValue Stored(std::vector<Segment> segs) {
   return *TemporalValue::FromSegments(std::move(segs));
 }

@@ -406,6 +406,124 @@ TEST(LintStyleTest, CleanFilePasses) {
   EXPECT_TRUE(Of(RunFiles(files), "style").empty());
 }
 
+// --- unreachable-api ---------------------------------------------------------
+
+/// A header declaring `Live` and `Dead`, and the .cc defining both.
+std::vector<SourceFile> ApiFixture() {
+  return {
+      Clean("src/util/api.h",
+            "#ifndef API_H_\n#define API_H_\n"
+            "namespace hrdm {\n"
+            "/// Used by the query layer.\n"
+            "int Live(int x);\n"
+            "int Dead(int x);\n"
+            "}  // namespace hrdm\n"
+            "#endif\n"),
+      Clean("src/util/api.cc",
+            "#include \"util/api.h\"\n"
+            "namespace hrdm {\n"
+            "int Live(int x) { return x; }\n"
+            "int Dead(int x) { return Live(x); }\n"
+            "}  // namespace hrdm\n"),
+      Clean("src/query/user.cc",
+            "#include \"util/api.h\"\n"
+            "namespace hrdm::query {\n"
+            "int Use() { return Live(1); }\n"
+            "}  // namespace hrdm::query\n"),
+  };
+}
+
+TEST(LintUnreachableApiTest, FunctionWithoutCallerFails) {
+  const auto found = Of(RunFiles(ApiFixture()), "unreachable-api");
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_TRUE(Mentions(found, "src/util/api.h: 'Dead'"));
+}
+
+TEST(LintUnreachableApiTest, TestCallerDoesNotCount) {
+  std::vector<SourceFile> files = ApiFixture();
+  files.push_back(Clean("tests/api_test.cc",
+                        "#include \"util/api.h\"\n"
+                        "int Probe() { return hrdm::Dead(2); }\n"));
+  const auto found = Of(RunFiles(files), "unreachable-api");
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_TRUE(Mentions(found, "'Dead'"));
+}
+
+TEST(LintUnreachableApiTest, ReferenceOutsideTheLintedTreeCounts) {
+  Options options;
+  options.reference_files = {
+      Clean("examples/demo.cpp",
+            "#include \"util/api.h\"\n"
+            "int main() { return hrdm::Dead(0); }\n"),
+  };
+  EXPECT_TRUE(
+      Of(RunFiles(ApiFixture(), options), "unreachable-api").empty());
+}
+
+TEST(LintUnreachableApiTest, MacroBodyAndInitializerUsesCount) {
+  const std::vector<SourceFile> files = {
+      Clean("src/util/api.h",
+            "int ViaMacro();\n"
+            "int ViaInit();\n"),
+      Clean("src/util/use.h",
+            "#define CALL_IT() ViaMacro()\n"
+            "inline const int kValue = ViaInit();\n"),
+  };
+  EXPECT_TRUE(Of(RunFiles(files), "unreachable-api").empty());
+}
+
+TEST(LintUnreachableApiTest, ClassMembersPassWhenUsed) {
+  // Constructors, destructors, operators, annotation macros and fields
+  // are never checked; a member function is, and a call in any function
+  // body keeps it alive.
+  const std::vector<SourceFile> files = {
+      Clean("src/util/box.h",
+            "namespace hrdm {\n"
+            "class HRDM_CAPABILITY(\"mutex\") Box {\n"
+            " public:\n"
+            "  explicit Box(int v) : v_(v) {}\n"
+            "  ~Box();\n"
+            "  bool operator==(const Box& o) const { return v_ == o.v_; }\n"
+            "  int value() const { return v_; }\n"
+            "  std::function<void(int)> hook;\n"
+            "\n"
+            " private:\n"
+            "  int v_ HRDM_GUARDED_BY(mu_);\n"
+            "};\n"
+            "}  // namespace hrdm\n"),
+      Clean("src/query/use.cc",
+            "#include \"util/box.h\"\n"
+            "int Read(const hrdm::Box& b) { return b.value(); }\n"),
+  };
+  EXPECT_TRUE(Of(RunFiles(files), "unreachable-api").empty());
+}
+
+TEST(LintUnreachableApiTest, UnusedMemberFunctionFails) {
+  const std::vector<SourceFile> files = {
+      Clean("src/util/box.h",
+            "class Box {\n"
+            " public:\n"
+            "  int value() const { return 1; }\n"
+            "  int Spare() const;\n"
+            "};\n"),
+      Clean("src/util/box.cc",
+            "int Box::Spare() const { return value(); }\n"),
+  };
+  const auto found = Of(RunFiles(files), "unreachable-api");
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_TRUE(Mentions(found, "'Spare'"));
+}
+
+TEST(LintUnreachableApiTest, AllowlistEntryWithReasonSuppresses) {
+  Options options;
+  options.allowlist =
+      "unreachable-api|src/util/api.h|int Dead(|kept as the paper's "
+      "definition\n";
+  const auto findings = RunFiles(ApiFixture(), options);
+  EXPECT_TRUE(Of(findings, "unreachable-api").empty());
+  EXPECT_TRUE(Of(findings, "allowlist").empty());  // entry was used
+}
+
 // --- allowlist ---------------------------------------------------------------
 
 TEST(LintAllowlistTest, MatchingEntrySuppressesFinding) {

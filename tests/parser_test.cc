@@ -222,7 +222,7 @@ ExprPtr RandomExpr(Rng* rng, int depth) {
                         RandomExpr(rng, depth - 1), "A0",
                         static_cast<CompareOp>(rng->Uniform(0, 5)), "B0");
     case 7:
-      return NaturalJoinE(RandomExpr(rng, depth - 1),
+      return Binary(ExprKind::kNaturalJoin, RandomExpr(rng, depth - 1),
                           RandomExpr(rng, depth - 1));
     default:
       return TimeJoinE(RandomExpr(rng, depth - 1), RandomExpr(rng, depth - 1),

@@ -54,7 +54,7 @@ void ExpectIndexScanParity(const Database& db, const query::ExprPtr& expr) {
     ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
     EXPECT_TRUE(full->EqualsAsSet(*indexed))
         << expr->ToString() << " diverges under "
-        << query::AccessPathName(path) << " after recovery";
+        << testing::AccessPathName(path) << " after recovery";
   }
 }
 

@@ -149,13 +149,13 @@ TEST(SessionIsolationTest, SnapshotFrozenAcrossIndexDdl) {
 TEST(SessionIsolationTest, VersionIdsAreMonotonicPerCommit) {
   Database db;
   Session s0 = Session::Open(db);
-  EXPECT_EQ(s0.version_id(), 0u);
+  EXPECT_EQ(s0.version().id, 0u);
 
   WorkloadRunner workload(/*seed=*/4);
   uint64_t last = 0;
   for (int step = 0; step < 40; ++step) {
     const Status status = workload.Step(&db, step);
-    const uint64_t id = Session::Open(db).version_id();
+    const uint64_t id = Session::Open(db).version().id;
     if (status.ok()) {
       EXPECT_EQ(id, last + 1) << "committed step " << step
                               << " must bump the version id by one";

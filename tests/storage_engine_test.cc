@@ -226,9 +226,9 @@ TEST(StorageEngineTest, ForeignKeysSurviveReplayAndCheckpoint) {
   }
   auto engine = StorageEngine::Open(dir.path(), NoFsync());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_EQ(engine->db().foreign_keys().size(), 1u);
-  EXPECT_EQ(engine->db().foreign_keys()[0].child, "dept");
-  EXPECT_EQ(engine->db().foreign_keys()[0].parent, "emp");
+  ASSERT_EQ(engine->db().CurrentVersion()->fks.size(), 1u);
+  EXPECT_EQ(engine->db().CurrentVersion()->fks[0].child, "dept");
+  EXPECT_EQ(engine->db().CurrentVersion()->fks[0].parent, "emp");
 }
 
 TEST(StorageEngineTest, CorruptNewestSnapshotFallsBackAGeneration) {

@@ -15,6 +15,9 @@
 //    history run it against a StorageEngine opened with FsyncPolicy::kOff
 //    and read them back with `ReadWal(engine.wal_path()).records`.
 //
+// Plus the display helpers the suites' failure messages and env knobs use:
+// ParseFsyncPolicy (the inverse of FsyncPolicyName) and AccessPathName.
+//
 // WorkloadRunner issues AT MOST ONE logged mutation per Step() so that a
 // crash between any two steps lands exactly on an oracle prefix state.
 
@@ -26,13 +29,37 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "query/optimizer.h"
 #include "storage/database.h"
 #include "storage/storage_engine.h"
+#include "storage/wal.h"
 #include "util/file.h"
 #include "util/random.h"
 
 namespace hrdm::storage {
 namespace testing {
+
+/// Parses "off" / "batched" / "always" (the HRDM_CRASH_FSYNC knob).
+inline Result<FsyncPolicy> ParseFsyncPolicy(std::string_view name) {
+  if (name == "off") return FsyncPolicy::kOff;
+  if (name == "batched") return FsyncPolicy::kBatched;
+  if (name == "always") return FsyncPolicy::kAlways;
+  return Status::InvalidArgument("unknown fsync policy: " + std::string(name) +
+                                 " (expected off|batched|always)");
+}
+
+/// Display name of an access path, for differential failure messages.
+inline std::string_view AccessPathName(query::AccessPath p) {
+  switch (p) {
+    case query::AccessPath::kFullScan:
+      return "full_scan";
+    case query::AccessPath::kLifespanIndex:
+      return "lifespan_index";
+    case query::AccessPath::kValueIndex:
+      return "value_index";
+  }
+  return "unknown";
+}
 
 /// A fresh directory under $TMPDIR (default /tmp), removed (with its
 /// regular-file contents) when the object dies.

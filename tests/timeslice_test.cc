@@ -83,7 +83,7 @@ TEST(TimeSliceTest, FragmentedWindow) {
 
 TEST(TimeSliceTest, SnapshotAtChronon) {
   Relation r = AuditRelation();
-  auto at = TimeSliceAt(r, 12);
+  auto at = TimeSlice(r, Lifespan::Point(12));
   ASSERT_TRUE(at.ok());
   EXPECT_EQ(at->size(), 2u);
   for (const Tuple& t : *at) {

@@ -223,7 +223,6 @@ TEST(TupleTest, KeyValuesAndHash) {
   Tuple::Builder b2(EmpScheme(), Span(20, 30));
   b2.SetConstant("Name", Value::String("john"));
   auto t2 = *std::move(b2).Build();
-  EXPECT_EQ(t.KeyHash(), t2.KeyHash());
   EXPECT_TRUE(t.SameKeyAs(t2));
 }
 

@@ -7,6 +7,16 @@
 namespace hrdm {
 namespace {
 
+/// Parses the stable DomainTypeName spellings; error on unknown names.
+Result<DomainType> DomainTypeFromName(std::string_view name) {
+  if (name == "bool") return DomainType::kBool;
+  if (name == "int") return DomainType::kInt;
+  if (name == "double") return DomainType::kDouble;
+  if (name == "string") return DomainType::kString;
+  if (name == "time") return DomainType::kTime;
+  return Status::InvalidArgument("unknown domain type: " + std::string(name));
+}
+
 TEST(ValueTest, AbsentByDefault) {
   Value v;
   EXPECT_TRUE(v.absent());

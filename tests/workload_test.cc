@@ -89,7 +89,7 @@ TEST(EnrollmentTest, TemporalRIHoldsByConstruction) {
   auto v = db->CheckIntegrity();
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->empty());
-  EXPECT_EQ(db->foreign_keys().size(), 2u);
+  EXPECT_EQ(db->CurrentVersion()->fks.size(), 2u);
 }
 
 TEST(RandomRelationTest, RespectsConfig) {

@@ -4,19 +4,23 @@
 //
 // Walks `src/**` and `tests/**` (every .h/.cc file) under REPO_ROOT
 // (default: the current directory), loads `tools/lint_allowlist.txt`,
-// `docs/ARCHITECTURE.md` and `src/query/plan.h`, and runs every check in
+// `docs/ARCHITECTURE.md` and `src/query/plan.h`, reads the C++ files under
+// `examples/`, `tools/`, `bench/` and `perfbench/` as reference-only
+// sources (their uses count, they are not linted), and runs every check in
 // tools/hrdm_lint_lib.h: layer-DAG include direction + cycles, closed-enum
-// switch discipline, banned constructs, PlanStats/doc parity, and
-// whitespace hygiene. Exit status is the number of findings (capped at
+// switch discipline, banned constructs, PlanStats/doc parity, whitespace
+// hygiene, and unreachable header API. Exit status is the number of findings (capped at
 // 255), so CI fails on any violation. See the library header for the
 // check catalog and docs/ARCHITECTURE.md "Static analysis & invariants"
 // for the rationale.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tools/hrdm_lint_lib.h"
@@ -33,6 +37,20 @@ std::string ReadFile(const fs::path& path) {
   return out.str();
 }
 
+/// Appends every file under `root/dir` whose extension is in `exts`, as a
+/// repo-relative (path, content) pair.
+void Collect(const fs::path& root, const char* dir,
+             std::initializer_list<std::string_view> exts,
+             std::vector<hrdm::lint::SourceFile>* out) {
+  for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string ext = entry.path().extension().string();
+    if (std::find(exts.begin(), exts.end(), ext) == exts.end()) continue;
+    out->push_back({fs::relative(entry.path(), root).generic_string(),
+                    ReadFile(entry.path())});
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -44,26 +62,23 @@ int main(int argc, char** argv) {
 
   std::vector<hrdm::lint::SourceFile> files;
   for (const char* dir : {"src", "tests"}) {
-    const fs::path base = root / dir;
-    if (!fs::exists(base)) {
+    if (!fs::exists(root / dir)) {
       std::fprintf(stderr, "hrdm_lint: missing directory %s\n",
-                   base.string().c_str());
+                   (root / dir).string().c_str());
       return 64;
     }
-    for (const auto& entry : fs::recursive_directory_iterator(base)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext != ".h" && ext != ".cc") continue;
-      const std::string rel =
-          fs::relative(entry.path(), root).generic_string();
-      files.push_back({rel, ReadFile(entry.path())});
-    }
+    Collect(root, dir, {".h", ".cc"}, &files);
   }
   std::sort(files.begin(), files.end(),
             [](const hrdm::lint::SourceFile& a,
                const hrdm::lint::SourceFile& b) { return a.path < b.path; });
 
   hrdm::lint::Options options;
+  for (const char* dir : {"examples", "tools", "bench", "perfbench"}) {
+    if (fs::exists(root / dir)) {
+      Collect(root, dir, {".h", ".cc", ".cpp"}, &options.reference_files);
+    }
+  }
   options.allowlist = ReadFile(root / "tools" / "lint_allowlist.txt");
   options.architecture_md = ReadFile(root / "docs" / "ARCHITECTURE.md");
   options.plan_header = ReadFile(root / "src" / "query" / "plan.h");

@@ -41,6 +41,20 @@
 ///  * **style** — no tabs, no trailing whitespace, no CRLF, every file
 ///    ends in exactly one newline (the locally-enforceable slice of the
 ///    `.clang-format` contract, with zero tool dependencies).
+///  * **unreachable-api** — every function declared in a `src/**` header
+///    needs a reference outside its declaration and definition, in `src/`
+///    or in the reference-only trees (`examples/`, `tools/`, `bench/`,
+///    `perfbench/`: read for uses, never linted). Tests do not count: an
+///    API only a test calls is dead surface. Lexical rules: a
+///    *declarator* is the name before the first top-level `(` of a
+///    declaration statement at namespace or class scope (no `=` before
+///    it); every other occurrence of the name, in a function body, an
+///    initializer or a macro definition, is a *reference*. Constructors,
+///    destructors, operators, keywords and ALL_CAPS macros are never
+///    checked. Names match across files, so an overload or a same-named
+///    member anywhere keeps a function alive. Resolve a finding by
+///    deleting the function, moving a test-only helper into its test, or
+///    an allowlist entry naming the paper section or reason it stays.
 ///
 /// Findings can be suppressed through an allowlist (one entry per line:
 /// `check|path|line-substring|reason`); entries that suppress nothing are
@@ -91,6 +105,10 @@ struct Options {
   std::string plan_header;
   /// Allowlist file text (see AllowEntry); empty = no suppressions.
   std::string allowlist;
+  /// Files outside the linted tree (examples/, tools/, bench/,
+  /// perfbench/) whose uses count as references for unreachable-api;
+  /// they are read, not linted.
+  std::vector<SourceFile> reference_files;
 };
 
 namespace internal {
@@ -299,6 +317,240 @@ inline std::vector<IncludeRef> QuotedIncludes(std::string_view path,
     out.push_back({std::move(resolved), inc, line});
   }
   return out;
+}
+
+/// Names that precede a `(` without being a function declarator.
+inline bool IsNonFunctionName(std::string_view name) {
+  static const std::set<std::string_view> kWords = {
+      "alignas", "alignof",  "auto",   "bool",   "char",   "decltype",
+      "defined", "delete",   "double", "float",  "for",    "if",
+      "int",     "long",     "new",    "noexcept", "requires",
+      "return",  "short",    "signed", "sizeof", "static_assert",
+      "switch",  "throw",    "typeid", "unsigned", "void", "while",
+  };
+  if (kWords.count(name) > 0 || name.rfind("__", 0) == 0) return true;
+  // ALL_CAPS names are macros (HRDM_GUARDED_BY(mu_) after a field).
+  return std::none_of(name.begin(), name.end(), [](char c) {
+    return std::islower(static_cast<unsigned char>(c)) != 0;
+  });
+}
+
+/// Adds every identifier in `text[b, e)` to `out`.
+inline void AddIdentifiers(std::string_view text, size_t b, size_t e,
+                           std::set<std::string>* out) {
+  size_t i = b;
+  while (i < e) {
+    if (!IsIdentChar(text[i])) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    while (i < e && IsIdentChar(text[i])) ++i;
+    if (std::isdigit(static_cast<unsigned char>(text[start])) == 0) {
+      out->emplace(text.substr(start, i - start));
+    }
+  }
+}
+
+/// The declarators and references of one comment- and literal-stripped
+/// file (see the unreachable-api check).
+struct ApiScan {
+  /// Function names declared or defined at namespace/class scope, with
+  /// the offset of the name.
+  std::vector<std::pair<std::string, size_t>> declarators;
+  /// Names of classes defined in the file (their constructors).
+  std::set<std::string> class_names;
+  /// Every other identifier occurrence.
+  std::set<std::string> references;
+};
+
+/// Handles one declaration statement `code[b, e)` at namespace or class
+/// scope: records its declarator, if any, and every other identifier as a
+/// reference. Returns whether the statement heads a function (so a `{`
+/// after it opens a function body, which ends the statement).
+inline bool ScanDeclaration(std::string_view code, size_t b, size_t e,
+                            ApiScan* scan) {
+  const std::string_view stmt = code.substr(b, e - b);
+  const size_t paren = stmt.find('(');
+  bool is_function = false;
+  size_t name_begin = std::string_view::npos;
+  size_t name_end = std::string_view::npos;
+  bool is_operator = false;
+  for (size_t p = 0; (p = stmt.find("operator", p)) != std::string_view::npos;
+       p += 8) {
+    if (WordAt(stmt, p, "operator")) is_operator = true;
+  }
+  if (is_operator) {
+    is_function = true;
+  } else if (paren != std::string_view::npos &&
+             stmt.substr(0, paren).find('=') == std::string_view::npos) {
+    is_function = true;
+    size_t ne = paren;
+    while (ne > 0 && std::isspace(static_cast<unsigned char>(stmt[ne - 1])) !=
+                         0) {
+      --ne;
+    }
+    size_t nb = ne;
+    while (nb > 0 && IsIdentChar(stmt[nb - 1])) --nb;
+    const std::string_view name = stmt.substr(nb, ne - nb);
+    if (!name.empty() &&
+        std::isdigit(static_cast<unsigned char>(name[0])) == 0 &&
+        (nb == 0 || stmt[nb - 1] != '~') && !IsNonFunctionName(name)) {
+      name_begin = nb;
+      name_end = ne;
+      scan->declarators.emplace_back(std::string(name), b + nb);
+    }
+  }
+  if (name_begin == std::string_view::npos) {
+    AddIdentifiers(code, b, e, &scan->references);
+  } else {
+    AddIdentifiers(code, b, b + name_begin, &scan->references);
+    AddIdentifiers(code, b + name_end, e, &scan->references);
+  }
+  return is_function;
+}
+
+/// Whether a `{` after the statement head `head` opens a namespace or a
+/// class body (whose declarations are scanned in turn) rather than a
+/// function body or an initializer (skipped as references). A class
+/// head's name goes to `*name`.
+inline bool OpensScope(std::string_view head, std::string* name) {
+  // Skip access labels and a template parameter list.
+  size_t p = 0;
+  while (true) {
+    while (p < head.size() &&
+           std::isspace(static_cast<unsigned char>(head[p])) != 0) {
+      ++p;
+    }
+    bool skipped = false;
+    for (std::string_view label : {"public", "private", "protected"}) {
+      if (WordAt(head, p, label)) {
+        const size_t colon = head.find(':', p);
+        if (colon != std::string_view::npos) {
+          p = colon + 1;
+          skipped = true;
+        }
+      }
+    }
+    if (WordAt(head, p, "template")) {
+      const size_t open = head.find('<', p);
+      if (open == std::string_view::npos) break;
+      size_t depth = 0;
+      size_t q = open;
+      for (; q < head.size(); ++q) {
+        if (head[q] == '<') ++depth;
+        if (head[q] == '>' && --depth == 0) break;
+      }
+      p = q + 1;
+      skipped = true;
+    }
+    if (!skipped) break;
+  }
+  if (WordAt(head, p, "inline")) {
+    const size_t q = head.find_first_not_of(" \t\n", p + 6);
+    if (q != std::string_view::npos && WordAt(head, q, "namespace")) p = q;
+  }
+  if (WordAt(head, p, "namespace") ||
+      (WordAt(head, p, "extern") && head.find('(') == std::string_view::npos)) {
+    return true;
+  }
+  for (std::string_view keyword : {"class", "struct", "union"}) {
+    if (!WordAt(head, p, keyword)) continue;
+    // The class name is the last identifier before a base clause or a
+    // template-argument list.
+    std::string_view rest = head.substr(p + keyword.size());
+    for (size_t q = 0; q < rest.size(); ++q) {
+      const bool single_colon =
+          rest[q] == ':' && (q + 1 >= rest.size() || rest[q + 1] != ':') &&
+          (q == 0 || rest[q - 1] != ':');
+      if (single_colon || rest[q] == '<') {
+        rest = rest.substr(0, q);
+        break;
+      }
+    }
+    size_t e = rest.size();
+    while (e > 0) {
+      while (e > 0 && !IsIdentChar(rest[e - 1])) --e;
+      size_t b = e;
+      while (b > 0 && IsIdentChar(rest[b - 1])) --b;
+      const std::string_view id = rest.substr(b, e - b);
+      if (!id.empty() && id != "final") {
+        *name = std::string(id);
+        break;
+      }
+      e = b;
+    }
+    return true;
+  }
+  return false;
+}
+
+/// Splits one stripped file into declarators and references.
+inline ApiScan ScanApi(std::string_view stripped) {
+  ApiScan scan;
+  std::string code(stripped);
+  // Preprocessor lines (with their continuations) declare nothing, but a
+  // macro body's identifiers are uses.
+  for (size_t i = 0; i < code.size();) {
+    size_t line_end = code.find('\n', i);
+    if (line_end == std::string::npos) line_end = code.size();
+    const size_t first = code.find_first_not_of(" \t", i);
+    if (first < line_end && code[first] == '#') {
+      while (line_end < code.size() && line_end > first &&
+             code[line_end - 1] == '\\') {
+        line_end = code.find('\n', line_end + 1);
+        if (line_end == std::string::npos) line_end = code.size();
+      }
+      AddIdentifiers(code, first, line_end, &scan.references);
+      for (size_t k = first; k < line_end; ++k) {
+        if (code[k] != '\n') code[k] = ' ';
+      }
+    }
+    i = line_end + 1;
+  }
+  size_t head = 0;
+  // After a non-function brace body (an initializer, an enum) the
+  // statement's tail up to `;` holds no declarator.
+  bool tail = false;
+  size_t i = 0;
+  while (i < code.size()) {
+    const char c = code[i];
+    if (c == '}') {  // closes a namespace or class body
+      head = ++i;
+      tail = false;
+      continue;
+    }
+    if (c != ';' && c != '{') {
+      ++i;
+      continue;
+    }
+    if (c == ';') {
+      if (tail) {
+        AddIdentifiers(code, head, i, &scan.references);
+      } else {
+        ScanDeclaration(code, head, i, &scan);
+      }
+      head = ++i;
+      tail = false;
+      continue;
+    }
+    std::string class_name;
+    if (!tail && OpensScope(std::string_view(code).substr(head, i - head),
+                            &class_name)) {
+      if (!class_name.empty()) scan.class_names.insert(class_name);
+      AddIdentifiers(code, head, i, &scan.references);
+      head = ++i;
+      continue;
+    }
+    const bool is_function =
+        !tail && ScanDeclaration(code, head, i, &scan);
+    const size_t end = MatchSpan(code, i);
+    if (end == std::string::npos) break;
+    AddIdentifiers(code, i, end, &scan.references);
+    head = i = end;
+    tail = !is_function;
+  }
+  return scan;
 }
 
 }  // namespace internal
@@ -769,6 +1021,52 @@ inline void CheckStyle(const std::vector<SourceFile>& files,
   }
 }
 
+/// unreachable-api: every function declared in a src/** header has a
+/// reference outside its declaration and definition, in src/ or in the
+/// reference-only files (tests do not count).
+inline void CheckUnreachableApi(
+    const std::vector<SourceFile>& files,
+    const std::map<std::string, std::string>& stripped,
+    const std::vector<SourceFile>& reference_files,
+    std::vector<Finding>* findings) {
+  std::set<std::string> references;
+  std::set<std::string> class_names;
+  std::vector<std::pair<const SourceFile*, internal::ApiScan>> headers;
+  auto scan_file = [&](const SourceFile& f, const std::string& code) {
+    internal::ApiScan scan = internal::ScanApi(code);
+    references.insert(scan.references.begin(), scan.references.end());
+    class_names.insert(scan.class_names.begin(), scan.class_names.end());
+    const bool header = f.path.size() > 2 &&
+                        f.path.compare(f.path.size() - 2, 2, ".h") == 0;
+    if (header && f.path.rfind("src/", 0) == 0) {
+      headers.emplace_back(&f, std::move(scan));
+    }
+  };
+  for (const SourceFile& f : files) {
+    if (f.path.rfind("tests/", 0) == 0) continue;
+    scan_file(f, stripped.at(f.path));
+  }
+  for (const SourceFile& f : reference_files) {
+    scan_file(f, internal::StripCommentsAndLiterals(f.content));
+  }
+  for (const auto& [file, scan] : headers) {
+    for (const auto& [name, pos] : scan.declarators) {
+      if (references.count(name) > 0 || class_names.count(name) > 0) {
+        continue;
+      }
+      findings->push_back(
+          {file->path, internal::LineOf(file->content, pos),
+           "unreachable-api",
+           "'" + name +
+               "' has no reference outside its declaration and definition "
+               "in src/, examples/, tools/, bench/ or perfbench/ (tests do "
+               "not count) — delete it, move a test-only helper into its "
+               "test, or allowlist it with the reason it stays",
+           internal::LineTextAt(file->content, pos)});
+    }
+  }
+}
+
 // --- allowlist + driver -------------------------------------------------------
 
 inline std::vector<AllowEntry> ParseAllowlist(std::string_view text,
@@ -826,6 +1124,7 @@ inline std::vector<Finding> Run(const std::vector<SourceFile>& files,
   CheckBannedConstructs(files, stripped, &raw);
   CheckDocParity(options, &raw);
   CheckStyle(files, &raw);
+  CheckUnreachableApi(files, stripped, options.reference_files, &raw);
 
   for (Finding& f : raw) {
     bool suppressed = false;
