@@ -4,18 +4,11 @@
 
 namespace hrdm {
 
-std::optional<Tuple> TimeSliceTupleRaw(const Tuple& t, const Lifespan& l,
-                                       const SchemePtr& out_scheme) {
-  Tuple restricted = t.Restrict(l, out_scheme);
-  if (restricted.lifespan().empty()) return std::nullopt;
-  return restricted;
-}
-
 TuplePtr TimeSliceTuple(const TuplePtr& t, const Lifespan& l,
                         const SchemePtr& out_scheme) {
-  std::optional<Tuple> restricted = TimeSliceTupleRaw(*t, l, out_scheme);
-  if (!restricted) return TuplePtr();
-  return std::make_shared<const Tuple>(*std::move(restricted));
+  Tuple restricted = t->Restrict(l, out_scheme);
+  if (restricted.lifespan().empty()) return TuplePtr();
+  return std::make_shared<const Tuple>(std::move(restricted));
 }
 
 Result<TuplePtr> DynSliceTuple(const TuplePtr& t, size_t attr_idx,

@@ -19,7 +19,6 @@
 ///    paper whenever the image refers to times the tuple actually lived
 ///    through, and drop empty results.)
 
-#include <optional>
 #include <string_view>
 
 #include "core/lifespan.h"
@@ -42,12 +41,6 @@ Result<Relation> TimeSliceDynamic(const Relation& r, std::string_view attr);
 /// the restricted lifespan is empty. `t` must be materialized.
 TuplePtr TimeSliceTuple(const TuplePtr& t, const Lifespan& l,
                         const SchemePtr& out_scheme);
-
-/// \brief Static slice raw kernel: the restricted tuple by value (nullopt
-/// when its lifespan is empty), so the batch cursors in query/plan.h can
-/// place it in arena storage instead of an individual heap node.
-std::optional<Tuple> TimeSliceTupleRaw(const Tuple& t, const Lifespan& l,
-                                       const SchemePtr& out_scheme);
 
 /// \brief Dynamic slice kernel: `t` restricted to the image of its own
 /// value of attribute `attr_idx` (pre-resolved and checked time-valued by

@@ -20,12 +20,6 @@ PlanOptions VersionPlanOptions(const storage::DatabaseVersion& version) {
   // Every hook re-resolves through the version per call, so every answer
   // comes from the immutable snapshot.
   PlanOptions options;
-  options.cardinality =
-      [&version](std::string_view name) -> std::optional<size_t> {
-    auto stats = version.catalog.Stats(name);
-    if (!stats) return std::nullopt;
-    return stats->tuple_count;
-  };
   options.index_catalog =
       [&version](std::string_view name) -> std::optional<IndexInfo> {
     auto spec = version.catalog.Indexes(name);
@@ -36,43 +30,20 @@ PlanOptions VersionPlanOptions(const storage::DatabaseVersion& version) {
     return info;
   };
   options.lifespan_probe =
-      [&version](std::string_view relation,
-                 const Lifespan& window) -> std::optional<IndexProbeResult> {
+      [&version](std::string_view relation, const Lifespan& window)
+      -> std::optional<std::vector<TuplePtr>> {
     const storage::RelationIndexes* ix = version.IndexesOf(relation);
     if (!ix || !ix->has_lifespan()) return std::nullopt;
-    auto rel = version.Get(relation);
-    if (!rel.ok()) return std::nullopt;
-    return IndexProbeResult{ix->lifespan()->Probe(window),
-                            (*rel)->materialized()};
+    return ix->lifespan()->Probe(window);
   };
   options.value_probe =
       [&version](std::string_view relation, std::string_view attr,
-                 const Value& key) -> std::optional<IndexProbeResult> {
+                 const Value& key) -> std::optional<std::vector<TuplePtr>> {
     const storage::RelationIndexes* ix = version.IndexesOf(relation);
     if (!ix) return std::nullopt;
     const storage::ValueIndex* vi = ix->value(attr);
     if (!vi) return std::nullopt;
-    auto rel = version.Get(relation);
-    if (!rel.ok()) return std::nullopt;
-    return IndexProbeResult{vi->Probe(key), (*rel)->materialized()};
-  };
-  options.indexed_build =
-      [&version](std::string_view relation,
-                 std::string_view attr) -> std::optional<IndexedBuildSide> {
-    const storage::RelationIndexes* ix = version.IndexesOf(relation);
-    if (!ix) return std::nullopt;
-    const storage::ValueIndex* vi = ix->value(attr);
-    if (!vi) return std::nullopt;
-    auto rel = version.Get(relation);
-    if (!rel.ok()) return std::nullopt;
-    IndexedBuildSide build;
-    build.materialized = (*rel)->materialized();
-    build.varying = vi->Varying();
-    build.groups.reserve(vi->buckets().size());
-    for (const auto& [digest, tuples] : vi->buckets()) {
-      build.groups.emplace_back(digest, tuples);  // one copy, straight in
-    }
-    return build;
+    return vi->Probe(key);
   };
   return options;
 }

@@ -50,12 +50,13 @@ namespace hrdm::query {
 PlanResolver VersionResolver(const storage::DatabaseVersion& version);
 
 /// \brief The full set of planning hooks for evaluating against `version`:
-/// catalog cardinalities, index registrations, and the index probe /
-/// hash-build feeds backed by the version's storage indexes
-/// (storage/index.h). Every hook answers from the immutable snapshot, so
-/// the options are safe to use from any thread, concurrently with writers.
-/// This is what `Eval` lowers with; tests and benches start from it and set
-/// `force_*` knobs. The version must outlive the options.
+/// the catalog's index registrations and the index probes backed by the
+/// version's storage indexes (storage/index.h). Relation sizes need no
+/// hook: the planner reads them through the resolver. Every hook answers
+/// from the immutable snapshot, so the options are safe to use from any
+/// thread, concurrently with writers. This is what `Eval` lowers with;
+/// tests and benches start from it and set `force_*` knobs. The version
+/// must outlive the options.
 PlanOptions VersionPlanOptions(const storage::DatabaseVersion& version);
 
 /// \brief Counters for the materializing interpreter (the baseline the

@@ -43,7 +43,7 @@ namespace hrdm::query {
 //
 // The choice is driven by equi-pattern detection on the AST node, domain
 // comparability from the operand schemes, and cardinality estimates (from
-// the storage catalog's relation stats when available).
+// the stored relations' exact sizes).
 
 /// \brief Physical join strategies the planner can select.
 enum class JoinStrategy : uint8_t {
@@ -54,8 +54,9 @@ enum class JoinStrategy : uint8_t {
 
 std::string_view JoinStrategyName(JoinStrategy s);
 
-/// \brief Base-relation cardinality source (typically the catalog's
-/// relation stats); nullopt when the relation is unknown to the source.
+/// \brief Base-relation cardinality source (the plan layer passes the
+/// stored relations' exact sizes); nullopt when the relation is unknown to
+/// the source.
 using CardinalityFn =
     std::function<std::optional<size_t>(std::string_view relation)>;
 
@@ -88,8 +89,8 @@ JoinChoice ChooseJoinStrategy(const Expr& join, const RelationScheme& left,
 //
 // AGGREGATE lowers to a blocking HashAggregateCursor (query/plan.h) whose
 // memory is proportional to the number of *groups*, not input tuples. The
-// planner pre-sizes the cursor's group table from the catalog's relation
-// stats: an ungrouped aggregate has at most one group; a grouped one is
+// planner pre-sizes the cursor's group table from the base relations'
+// sizes: an ungrouped aggregate has at most one group; a grouped one is
 // estimated with the classic quarter-of-input rule over the child's
 // cardinality estimate. Like every other estimate here, it is advisory —
 // a wrong guess resizes a hash table, never changes answers.

@@ -146,12 +146,9 @@ Result<Lifespan> EvalWindowIn(const LsExprPtr& expr,
   return Status::Internal("unhandled lifespan expression kind");
 }
 
-/// The resolver-backed exact-size cardinality fallback used when no
-/// catalog is wired in (shared by the join-strategy and access-path
-/// choosers).
-CardinalityFn CardinalityOrExact(const CardinalityFn& card,
-                                 const PlanResolver& resolver) {
-  if (card) return card;
+/// The planner's one size source: the exact stored size of each base
+/// relation, read through the resolver (shared by every chooser).
+CardinalityFn ExactCardinality(const PlanResolver& resolver) {
   return [&resolver](std::string_view name) -> std::optional<size_t> {
     auto rel = resolver(name);
     if (!rel.ok()) return std::nullopt;
@@ -166,8 +163,7 @@ JoinChoice ResolveJoinChoice(const Expr& e, const RelationScheme& ls,
                              const RelationScheme& rs,
                              const PlanResolver& resolver,
                              const PlanOptions& options) {
-  JoinChoice choice = ChooseJoinStrategy(
-      e, ls, rs, CardinalityOrExact(options.cardinality, resolver));
+  JoinChoice choice = ChooseJoinStrategy(e, ls, rs, ExactCardinality(resolver));
   if (options.force_join_strategy) {
     switch (*options.force_join_strategy) {
       case JoinStrategy::kNestedLoop:
@@ -204,14 +200,10 @@ TuplePtr PlanContext::AdoptTuple(Tuple&& t) {
 // --- ScanCursor --------------------------------------------------------------
 
 ScanCursor::ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples,
-                       bool materialized, AccessPath path, size_t parallelism,
-                       PlanContext* ctx)
+                       AccessPath path, size_t parallelism, PlanContext* ctx)
     : Cursor(std::move(scheme), ctx),
       tuples_(std::move(tuples)),
-      materialized_(materialized),
       parallelism_(parallelism) {
-  // Already-materialized inputs have no interpolation pass to parallelize.
-  if (materialized_) parallelism_ = 1;
   switch (path) {
     case AccessPath::kFullScan:
       ++stats_->scans_full;
@@ -237,18 +229,18 @@ Result<TupleBatch*> ScanCursor::NextBatch() {
   if (parallelism_ > 1 && !parallel_primed_) {
     parallel_primed_ = true;
     HRDM_RETURN_IF_ERROR(ParallelMaterialize(tuples_, parallelism_, stats_));
-    materialized_ = true;
     stats_->OnBuffer(tuples_.size());  // interpolated copies, not yet emitted
   }
   if (pos_ >= tuples_.size()) return nullptr;
   const size_t n = std::min(ctx_->batch_size, tuples_.size() - pos_);
   batch_.clear();
-  if (materialized_) {
-    // The scan never rewinds, so each handle moves out as it is emitted.
+  if (parallel_primed_) {
+    // Already interpolated; the scan never rewinds, so each handle moves
+    // out as it is emitted.
     for (size_t i = 0; i < n; ++i) {
       batch_.push_back(std::move(tuples_[pos_ + i]));
     }
-    if (parallel_primed_) stats_->OnRelease(n);
+    stats_->OnRelease(n);
   } else {
     // Representation → model mapping (Figure 9), one tight loop per batch.
     // MaterializedShared memoizes per stored tuple, so re-scanning a
@@ -291,12 +283,6 @@ Result<TupleBatch*> SelectIfCursor::NextBatch() {
 
 // --- SelectWhenCursor --------------------------------------------------------
 
-SelectWhenCursor::SelectWhenCursor(CursorPtr child, Predicate predicate,
-                                   PlanContext* ctx)
-    : Cursor(child->scheme(), ctx), child_(std::move(child)) {
-  stages_.emplace_back(std::move(predicate));
-}
-
 SelectWhenCursor::SelectWhenCursor(CursorPtr child, std::vector<Stage> stages,
                                    SchemePtr project_scheme,
                                    std::vector<size_t> project_src,
@@ -319,14 +305,16 @@ Result<TupleBatch*> SelectWhenCursor::NextBatch() {
       // which equals SelectWhenHolds on the stage-restricted tuple — so the
       // chronons kept, the comparisons attempted, and the per-stage drops
       // all match the unfused pipeline, with a single Restrict at the end.
-      Lifespan eff = t->lifespan();
-      for (const Stage& stage : stages_) {
-        if (const Lifespan* window = std::get_if<Lifespan>(&stage)) {
-          eff = eff.Intersect(*window);
+      // The first stage reads the tuple's own lifespan; no copy is made.
+      Lifespan eff;
+      for (size_t i = 0; i < stages_.size(); ++i) {
+        const Lifespan& scope = i == 0 ? t->lifespan() : eff;
+        if (const Lifespan* window = std::get_if<Lifespan>(&stages_[i])) {
+          eff = scope.Intersect(*window);
         } else {
           HRDM_ASSIGN_OR_RETURN(
-              eff, std::get<Predicate>(stage).TimesWhere(
-                       *t, ValueView::kStored, &eff));
+              eff, std::get<Predicate>(stages_[i]).TimesWhere(
+                       *t, ValueView::kStored, &scope));
         }
         if (eff.empty()) break;
       }
@@ -379,12 +367,6 @@ Result<TupleBatch*> ProjectCursor::NextBatch() {
 
 // --- TimeSliceCursor ---------------------------------------------------------
 
-TimeSliceCursor::TimeSliceCursor(CursorPtr child, Lifespan window,
-                                 PlanContext* ctx)
-    : Cursor(child->scheme(), ctx),
-      child_(std::move(child)),
-      window_(std::move(window)) {}
-
 TimeSliceCursor::TimeSliceCursor(CursorPtr child, size_t attr_idx,
                                  PlanContext* ctx)
     : Cursor(child->scheme(), ctx),
@@ -397,20 +379,9 @@ Result<TupleBatch*> TimeSliceCursor::NextBatch() {
     if (!in) return nullptr;
     out_.clear();
     for (TuplePtr& t : *in) {
-      if (window_) {
-        // Identity fast path: the window covers the whole lifespan, so the
-        // restriction cannot remove anything — re-emit the handle.
-        if (t->scheme() == scheme_ && window_->ContainsAll(t->lifespan())) {
-          out_.push_back(std::move(t));
-          continue;
-        }
-        std::optional<Tuple> sliced = TimeSliceTupleRaw(*t, *window_, scheme_);
-        if (sliced) out_.push_back(ctx_->AdoptTuple(*std::move(sliced)));
-      } else {
-        HRDM_ASSIGN_OR_RETURN(TuplePtr sliced,
-                              DynSliceTuple(t, attr_idx_, scheme_));
-        if (sliced) out_.push_back(std::move(sliced));
-      }
+      HRDM_ASSIGN_OR_RETURN(TuplePtr sliced,
+                            DynSliceTuple(t, attr_idx_, scheme_));
+      if (sliced) out_.push_back(std::move(sliced));
     }
     if (!out_.empty()) return EmitOrEnd(out_);
   }
@@ -496,24 +467,6 @@ HashEquiJoinCursor::HashEquiJoinCursor(
   stats_->OnParallelOperator(parallelism_);
 }
 
-HashEquiJoinCursor::HashEquiJoinCursor(
-    CursorPtr probe, IndexedBuildSide build, bool build_left,
-    std::vector<std::pair<size_t, size_t>> key_attrs, JoinAssembly assembly,
-    JoinPairFn pair, size_t parallelism, PlanContext* ctx)
-    : Cursor(assembly.scheme(), ctx),
-      build_left_(build_left),
-      key_attrs_(std::move(key_attrs)),
-      assembly_(std::move(assembly)),
-      pair_(std::move(pair)),
-      parallelism_(parallelism),
-      prebuilt_(std::move(build)) {
-  // The probe cursor takes the input slot the build side vacated.
-  (build_left_ ? right_ : left_) = std::move(probe);
-  ++stats_->joins_hash;
-  ++stats_->hash_builds_from_index;
-  stats_->OnParallelOperator(parallelism_);
-}
-
 HashEquiJoinCursor::~HashEquiJoinCursor() {
   stats_->OnRelease(build_.size());
   if (parallel_probed_) stats_->OnRelease(parallel_out_.size());
@@ -521,32 +474,6 @@ HashEquiJoinCursor::~HashEquiJoinCursor() {
 
 Status HashEquiJoinCursor::Prime() {
   primed_ = true;
-  if (prebuilt_) {
-    // Index-fed build: the value index already partitioned the build side
-    // by the raw digest of its (single) join column; fold each group's
-    // digest exactly as JoinKeysDigest folds the probe side's.
-    auto adopt = [&](TuplePtr t) -> Result<size_t> {
-      if (!prebuilt_->materialized) {
-        HRDM_ASSIGN_OR_RETURN(t, t->MaterializedShared());
-      }
-      build_.push_back(std::move(t));
-      stats_->OnBuffer(1);
-      return build_.size() - 1;
-    };
-    for (auto& [digest, tuples] : prebuilt_->groups) {
-      const uint64_t h = CombineJoinKeyDigest(kJoinKeyDigestSeed, digest);
-      for (TuplePtr& t : tuples) {
-        HRDM_ASSIGN_OR_RETURN(size_t idx, adopt(std::move(t)));
-        buckets_[h].push_back(idx);
-      }
-    }
-    for (TuplePtr& t : prebuilt_->varying) {
-      HRDM_ASSIGN_OR_RETURN(size_t idx, adopt(std::move(t)));
-      varying_.push_back(idx);
-    }
-    prebuilt_.reset();
-    return Status::OK();
-  }
   Cursor* build_child = build_left_ ? left_.get() : right_.get();
   if (parallelism_ > 1) {
     // Parallel build: the drain stays on the coordinator (cursor pulls are
@@ -1086,10 +1013,9 @@ Result<CursorPtr> LowerRestrictionInput(const Expr& op, const Lifespan* window,
                                         const PlanOptions& options) {
   if (op.left && op.left->kind == ExprKind::kRelationRef) {
     const AccessPathChoice choice = ChooseAccessPath(
-        op, options.index_catalog,
-        CardinalityOrExact(options.cardinality, resolver));
+        op, options.index_catalog, ExactCardinality(resolver));
     const AccessPath path = ResolveAccessPath(choice, options);
-    std::optional<IndexProbeResult> probe;
+    std::optional<std::vector<TuplePtr>> probe;
     if (path == AccessPath::kValueIndex && options.value_probe && choice.key) {
       probe = options.value_probe(op.left->relation, choice.attr, *choice.key);
     } else if (path == AccessPath::kLifespanIndex && options.lifespan_probe &&
@@ -1098,13 +1024,10 @@ Result<CursorPtr> LowerRestrictionInput(const Expr& op, const Lifespan* window,
     }
     if (probe) {
       HRDM_ASSIGN_OR_RETURN(const Relation* rel, resolver(op.left->relation));
-      const size_t parallelism =
-          ChooseParallelism(RequestedParallelism(options),
-                            probe->candidates.size(), options.force_parallel);
-      return MakeCursor<ScanCursor>(rel->scheme(),
-                                    std::move(probe->candidates),
-                                    probe->materialized, path, parallelism,
-                                    ctx);
+      const size_t parallelism = ChooseParallelism(
+          RequestedParallelism(options), probe->size(), options.force_parallel);
+      return MakeCursor<ScanCursor>(rel->scheme(), *std::move(probe), path,
+                                    parallelism, ctx);
     }
   }
   return LowerExpr(op.left, resolver, ctx, options);
@@ -1119,12 +1042,13 @@ Result<CursorPtr> LowerRestrictionInput(const Expr& op, const Lifespan* window,
 /// lifespan, matching what they would see on the stage-restricted tuple)
 /// and restricts each surviving tuple once. Slice windows are evaluated in
 /// lowering order (outermost first), exactly as the unfused per-node
-/// lowering evaluates them. Adjacent windows fold into their intersection;
-/// a chain that is windows-only stays a plain TimeSliceCursor. The chain's
-/// base input goes through the access-path chooser for the innermost node,
-/// with the intersection of every window in the chain as the probe window
-/// — any surviving tuple overlaps it, so the candidate superset is exact
-/// and tighter than the innermost window alone.
+/// lowering evaluates them. Adjacent windows fold into their intersection,
+/// so a windows-only chain (a lone static TIME-SLICE included) is a
+/// one-window cursor. The chain's base input goes through the access-path
+/// chooser for the innermost node, with the intersection of every window
+/// in the chain as the probe window — any surviving tuple overlaps it, so
+/// the candidate superset is exact and tighter than the innermost window
+/// alone.
 ///
 /// `project_attrs`, when given, is a PROJECT sitting directly above the
 /// chain; it fuses into the cursor's emission (only kept attributes are
@@ -1181,87 +1105,34 @@ Result<CursorPtr> LowerRestrictionChain(
                                         std::move(out_scheme), std::move(src),
                                         ctx);
   }
-  if (stages.size() == 1 && std::holds_alternative<Lifespan>(stages[0])) {
-    return MakeCursor<TimeSliceCursor>(
-        std::move(child), std::move(std::get<Lifespan>(stages[0])), ctx);
-  }
   return MakeCursor<SelectWhenCursor>(std::move(child), std::move(stages),
                                       SchemePtr(), std::vector<size_t>(),
                                       ctx);
 }
 
-/// Attempts an index-fed hash equi-join lowering: when both operands are
-/// bare base relations, the chooser picks kHash, and the build side carries
-/// a value index on its (single) join attribute, the build cursor is
-/// skipped entirely — the index's pre-partitioned groups become the hash
-/// table and only the probe side is lowered. Returns a null cursor when not
-/// applicable (caller falls back to the ordinary join lowering); restricted
-/// to bare-relation operands so the decision needs no speculative lowering.
-Result<CursorPtr> TryIndexFedEquiJoin(const ExprPtr& expr,
-                                      const PlanResolver& resolver,
-                                      PlanContext* ctx,
-                                      const PlanOptions& options) {
-  if (!options.indexed_build) return CursorPtr();
-  if (options.force_access_path == AccessPath::kFullScan) return CursorPtr();
-  if (!expr->left || expr->left->kind != ExprKind::kRelationRef ||
-      !expr->right || expr->right->kind != ExprKind::kRelationRef) {
-    return CursorPtr();
+/// The shared tail of the equality-join lowerings (θ-join and natural
+/// join): a hash join when the chooser picks it, nested loop otherwise.
+/// `key_attrs` are the (left, right) equality columns the hash join digests.
+Result<CursorPtr> LowerEqualityJoin(
+    const Expr& e, CursorPtr left, CursorPtr right,
+    std::vector<std::pair<size_t, size_t>> key_attrs, JoinAssembly assembly,
+    JoinPairFn pair, const PlanResolver& resolver, PlanContext* ctx,
+    const PlanOptions& options) {
+  const JoinChoice choice = ResolveJoinChoice(
+      e, *left->scheme(), *right->scheme(), resolver, options);
+  if (choice.strategy == JoinStrategy::kHash) {
+    const size_t parallelism =
+        ChooseParallelism(RequestedParallelism(options),
+                          choice.est_left + choice.est_right,
+                          options.force_parallel);
+    return MakeCursor<HashEquiJoinCursor>(
+        std::move(left), std::move(right), choice.build_left,
+        std::move(key_attrs), std::move(assembly), std::move(pair),
+        parallelism, ctx);
   }
-  HRDM_ASSIGN_OR_RETURN(const Relation* lrel, resolver(expr->left->relation));
-  HRDM_ASSIGN_OR_RETURN(const Relation* rrel, resolver(expr->right->relation));
-  const SchemePtr& ls = lrel->scheme();
-  const SchemePtr& rs = rrel->scheme();
-  const JoinChoice choice =
-      ResolveJoinChoice(*expr, *ls, *rs, resolver, options);
-  if (choice.strategy != JoinStrategy::kHash) return CursorPtr();
-
-  std::vector<std::pair<size_t, size_t>> key_attrs;
-  std::string build_attr;
-  SchemePtr out_scheme;
-  JoinPairFn pair;
-  if (expr->kind == ExprKind::kThetaJoin) {
-    HRDM_ASSIGN_OR_RETURN(size_t ia, ls->RequireIndex(expr->attr_a));
-    HRDM_ASSIGN_OR_RETURN(size_t ib, rs->RequireIndex(expr->attr_b));
-    key_attrs = {{ia, ib}};
-    build_attr = choice.build_left ? expr->attr_a : expr->attr_b;
-    HRDM_ASSIGN_OR_RETURN(out_scheme,
-                          ThetaJoinScheme(ls, expr->attr_a, rs, expr->attr_b));
-    pair = [ia, op = expr->op, ib](const Tuple& t1, const Tuple& t2) {
-      return ThetaJoinPairLifespan(t1, ia, op, t2, ib);
-    };
-  } else if (expr->kind == ExprKind::kNaturalJoin) {
-    std::vector<std::pair<size_t, size_t>> shared = SharedAttributes(*ls, *rs);
-    // A multi-column natural join would need a composite-key index; single
-    // per-attribute indexes only serve the one-shared-attribute shape.
-    if (shared.size() != 1) return CursorPtr();
-    build_attr = ls->attribute(shared[0].first).name;
-    key_attrs = std::move(shared);
-    HRDM_ASSIGN_OR_RETURN(out_scheme, NaturalJoinScheme(ls, rs));
-    pair = [key_attrs](const Tuple& t1, const Tuple& t2) -> Result<Lifespan> {
-      return NaturalJoinPairLifespan(t1, t2, key_attrs);
-    };
-  } else {
-    return CursorPtr();
-  }
-
-  const ExprPtr& build_expr = choice.build_left ? expr->left : expr->right;
-  std::optional<IndexedBuildSide> build =
-      options.indexed_build(build_expr->relation, build_attr);
-  if (!build) return CursorPtr();
-
-  HRDM_ASSIGN_OR_RETURN(
-      CursorPtr probe,
-      LowerExpr(choice.build_left ? expr->right : expr->left, resolver, ctx,
-                options));
-  JoinAssembly assembly(std::move(out_scheme), *ls, *rs);
-  const size_t parallelism =
-      ChooseParallelism(RequestedParallelism(options),
-                        choice.est_left + choice.est_right,
-                        options.force_parallel);
-  return MakeCursor<HashEquiJoinCursor>(
-      std::move(probe), std::move(*build), choice.build_left,
-      std::move(key_attrs), std::move(assembly), std::move(pair), parallelism,
-      ctx);
+  return MakeCursor<NestedLoopJoinCursor>(std::move(left), std::move(right),
+                                          std::move(assembly), std::move(pair),
+                                          ctx);
 }
 
 Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
@@ -1274,8 +1145,7 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
           RequestedParallelism(options), rel->size(), options.force_parallel);
       // Copy-on-write: the scan shares the stored tuples.
       return MakeCursor<ScanCursor>(rel->scheme(), rel->tuple_ptrs(),
-                                    rel->materialized(), AccessPath::kFullScan,
-                                    parallelism, ctx);
+                                    AccessPath::kFullScan, parallelism, ctx);
     }
     case ExprKind::kSelectIf: {
       // The window is a parameter, not a stream: evaluate it first so a
@@ -1385,9 +1255,6 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
           ctx);
     }
     case ExprKind::kThetaJoin: {
-      HRDM_ASSIGN_OR_RETURN(
-          CursorPtr fed, TryIndexFedEquiJoin(expr, resolver, ctx, options));
-      if (fed) return fed;
       HRDM_ASSIGN_OR_RETURN(CursorPtr left,
                             LowerExpr(expr->left, resolver, ctx, options));
       HRDM_ASSIGN_OR_RETURN(CursorPtr right,
@@ -1405,26 +1272,11 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
                                                 const Tuple& t2) {
         return ThetaJoinPairLifespan(t1, ia, op, t2, ib);
       };
-      const JoinChoice choice = ResolveJoinChoice(
-          *expr, *left->scheme(), *right->scheme(), resolver, options);
-      if (choice.strategy == JoinStrategy::kHash) {
-        const size_t parallelism =
-            ChooseParallelism(RequestedParallelism(options),
-                              choice.est_left + choice.est_right,
-                              options.force_parallel);
-        return MakeCursor<HashEquiJoinCursor>(
-            std::move(left), std::move(right), choice.build_left,
-            std::vector<std::pair<size_t, size_t>>{{ia, ib}},
-            std::move(assembly), std::move(pair), parallelism, ctx);
-      }
-      return MakeCursor<NestedLoopJoinCursor>(
-          std::move(left), std::move(right), std::move(assembly),
-          std::move(pair), ctx);
+      return LowerEqualityJoin(*expr, std::move(left), std::move(right),
+                               {{ia, ib}}, std::move(assembly),
+                               std::move(pair), resolver, ctx, options);
     }
     case ExprKind::kNaturalJoin: {
-      HRDM_ASSIGN_OR_RETURN(
-          CursorPtr fed, TryIndexFedEquiJoin(expr, resolver, ctx, options));
-      if (fed) return fed;
       HRDM_ASSIGN_OR_RETURN(CursorPtr left,
                             LowerExpr(expr->left, resolver, ctx, options));
       HRDM_ASSIGN_OR_RETURN(CursorPtr right,
@@ -1440,21 +1292,9 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
                                  const Tuple& t2) -> Result<Lifespan> {
         return NaturalJoinPairLifespan(t1, t2, shared);
       };
-      const JoinChoice choice = ResolveJoinChoice(
-          *expr, *left->scheme(), *right->scheme(), resolver, options);
-      if (choice.strategy == JoinStrategy::kHash) {
-        const size_t parallelism =
-            ChooseParallelism(RequestedParallelism(options),
-                              choice.est_left + choice.est_right,
-                              options.force_parallel);
-        return MakeCursor<HashEquiJoinCursor>(
-            std::move(left), std::move(right), choice.build_left,
-            std::move(shared), std::move(assembly), std::move(pair),
-            parallelism, ctx);
-      }
-      return MakeCursor<NestedLoopJoinCursor>(
-          std::move(left), std::move(right), std::move(assembly),
-          std::move(pair), ctx);
+      return LowerEqualityJoin(*expr, std::move(left), std::move(right),
+                               std::move(shared), std::move(assembly),
+                               std::move(pair), resolver, ctx, options);
     }
     case ExprKind::kAggregate: {
       HRDM_ASSIGN_OR_RETURN(CursorPtr child,
@@ -1462,11 +1302,10 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
       AggregateSpec spec{expr->agg_fn, expr->attr_a, expr->attrs};
       HRDM_ASSIGN_OR_RETURN(GroupedAggregator aggregator,
                             GroupedAggregator::Make(child->scheme(), spec));
-      const size_t est = EstimateGroupCount(
-          *expr, CardinalityOrExact(options.cardinality, resolver));
+      const CardinalityFn card = ExactCardinality(resolver);
+      const size_t est = EstimateGroupCount(*expr, card);
       // The fold cost scales with the *input* cardinality, not the groups.
-      const size_t est_input = EstimateCardinality(
-          expr->left, CardinalityOrExact(options.cardinality, resolver));
+      const size_t est_input = EstimateCardinality(expr->left, card);
       const size_t parallelism = ChooseParallelism(
           RequestedParallelism(options), est_input, options.force_parallel);
       return MakeCursor<HashAggregateCursor>(

@@ -35,7 +35,7 @@
 /// `batches_emitted`/`batch_tuples` the batch traffic.
 ///
 /// Cursors reuse the algebra's kernels (SelectIfBatch, SelectWhenHolds,
-/// TimeSliceTupleRaw, ProjectTupleRaw, JoinAssembly, JoinKeysDigest, ...),
+/// DynSliceTuple, ProjectTupleRaw, JoinAssembly, JoinKeysDigest, ...),
 /// so the streaming and whole-relation paths share one implementation of
 /// the paper's semantics. Interpolation (representation → model mapping,
 /// Figure 9) happens once, per tuple, at the scan leaf. Restriction
@@ -57,7 +57,7 @@
 /// The JOIN family and the Cartesian product lower to dedicated join
 /// cursors, all built on the shared assembly kernel of algebra/join.h and
 /// selected by the optimizer's `ChooseJoinStrategy` (equi-pattern detection
-/// + catalog cardinality):
+/// + the stored relations' sizes):
 ///  * `NestedLoopJoinCursor` — pairwise θ evaluation; buffers only the
 ///    right input, streams the left (the fallback "product" strategy).
 ///    `r × s` is this cursor too: Section 5 reads JOIN as SELECT-WHEN ∘ ×,
@@ -138,7 +138,9 @@
 namespace hrdm::query {
 
 /// \brief Resolves a base-relation name to a stored relation
-/// (executor.h's `VersionResolver` builds one over a pinned version).
+/// (executor.h's `VersionResolver` builds one over a pinned version). The
+/// scan leaf interpolates every tuple it reads (Figure 9), so a resolver
+/// hands out stored relations, never already-materialized algebra outputs.
 using PlanResolver = std::function<Result<const Relation*>(std::string_view)>;
 
 /// \brief The unit of flow between cursors: a run of shared tuple handles,
@@ -146,39 +148,18 @@ using PlanResolver = std::function<Result<const Relation*>(std::string_view)>;
 /// comment).
 using TupleBatch = std::vector<TuplePtr>;
 
-/// \brief The result of probing a storage index for a base-relation read: a
-/// superset of the qualifying tuples, plus whether they are already
-/// model-level (materialized) or still need per-tuple interpolation.
-struct IndexProbeResult {
-  std::vector<TuplePtr> candidates;
-  bool materialized = false;
-};
-
-/// \brief Probes a lifespan interval index: tuples of `relation` alive at
-/// some chronon of `window`. nullopt when no such index exists.
-using LifespanProbeFn = std::function<std::optional<IndexProbeResult>(
+/// \brief Probes a lifespan interval index: the stored tuples of
+/// `relation` alive at some chronon of `window` — a superset of the
+/// qualifying tuples, still at the representation level like the stored
+/// relation. nullopt when no such index exists.
+using LifespanProbeFn = std::function<std::optional<std::vector<TuplePtr>>(
     std::string_view relation, const Lifespan& window)>;
 
-/// \brief Probes a value equality index: candidate tuples of `relation`
-/// with `attr = key` at some chronon (the matching digest bucket plus every
-/// varying-valued tuple). nullopt when no such index exists.
-using ValueProbeFn = std::function<std::optional<IndexProbeResult>(
+/// \brief Probes a value equality index: candidate stored tuples of
+/// `relation` with `attr = key` at some chronon (the matching digest bucket
+/// plus every varying-valued tuple). nullopt when no such index exists.
+using ValueProbeFn = std::function<std::optional<std::vector<TuplePtr>>(
     std::string_view relation, std::string_view attr, const Value& key)>;
-
-/// \brief A hash-join build side served pre-partitioned from a storage
-/// value index: one (raw value digest, tuples) group per constant-valued
-/// bucket, plus the varying-valued fallback tuples.
-struct IndexedBuildSide {
-  std::vector<std::pair<uint64_t, std::vector<TuplePtr>>> groups;
-  std::vector<TuplePtr> varying;
-  bool materialized = false;
-};
-
-/// \brief Fetches the pre-partitioned contents of a value index on
-/// `relation`.`attr` for a hash-join build side; nullopt when no such index
-/// exists.
-using IndexedBuildFn = std::function<std::optional<IndexedBuildSide>(
-    std::string_view relation, std::string_view attr)>;
 
 /// \brief Execution counters shared by every cursor of one physical plan.
 struct PlanStats {
@@ -208,9 +189,6 @@ struct PlanStats {
   /// base-relation size for the access-path pruning metric (the scan
   /// analogue of join_pairs_tested).
   size_t index_candidates = 0;
-  /// Hash joins whose build side was fed pre-partitioned from a value
-  /// index instead of draining and digesting a build cursor.
-  size_t hash_builds_from_index = 0;
   /// Aggregate operators instantiated in this plan.
   size_t aggregates = 0;
   /// Groups the planner pre-sized aggregate tables for (the optimizer's
@@ -347,23 +325,22 @@ using CursorPtr = std::unique_ptr<Cursor>;
 /// shared tuple handles (not the relation's key/structural indexes), so
 /// the scan is safe even if the stored relation is later mutated and
 /// construction is O(#tuples) pointer bumps.
-/// Non-materialized inputs are interpolated per batch; with
-/// `parallelism > 1` the whole interpolation pass instead runs up front,
-/// morsel-parallel on the worker pool (per-morsel output slots, so tuple
-/// order is unchanged), and the materialized tuples stream from the buffer
-/// (accounted in PlanStats until each one is emitted).
+/// The tuples are stored (representation-level) tuples, interpolated per
+/// batch; with `parallelism > 1` the whole interpolation pass instead runs
+/// up front, morsel-parallel on the worker pool (per-morsel output slots,
+/// so tuple order is unchanged), and the interpolated tuples stream from
+/// the buffer (accounted in PlanStats until each one is emitted).
 class ScanCursor : public Cursor {
  public:
-  ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples,
-             bool materialized, AccessPath path, size_t parallelism,
-             PlanContext* ctx);
+  ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples, AccessPath path,
+             size_t parallelism, PlanContext* ctx);
   ~ScanCursor() override;
   Result<TupleBatch*> NextBatch() override;
 
  private:
   std::vector<TuplePtr> tuples_;
-  bool materialized_;
   size_t parallelism_;
+  /// The parallel pass has run: tuples_ holds interpolated handles.
   bool parallel_primed_ = false;
   size_t pos_ = 0;
   TupleBatch batch_;
@@ -392,14 +369,16 @@ class SelectIfCursor : public Cursor {
 /// criterion holds over entirely pass through as the original handle (no
 /// copy); the rest are restricted into the arena.
 ///
-/// Doubles as the fused form of a whole restriction chain: the lowering
-/// collapses consecutive SELECT-WHEN / static TIME-SLICE operators into one
-/// cursor whose `stages` (innermost-first) are slice windows and criteria.
-/// Per tuple the effective lifespan is accumulated across the stages —
-/// windows intersect, criteria evaluate scoped to the lifespan accumulated
-/// so far (exactly the holds the unfused pipeline computes on the
-/// stage-restricted tuple) — and the tuple is restricted once at the end
-/// instead of once per operator. A tuple whose effective lifespan empties
+/// It is the one cursor for every restriction chain: the lowering
+/// collapses consecutive SELECT-WHEN / static TIME-SLICE operators (a lone
+/// static TIME-SLICE included) into one cursor whose `stages`
+/// (innermost-first) are slice windows and criteria. Per tuple the
+/// effective lifespan is accumulated across the stages, starting from the
+/// first stage's intersection with the tuple's lifespan — windows
+/// intersect, criteria evaluate scoped to the lifespan accumulated so far
+/// (exactly the holds the unfused pipeline computes on the stage-restricted
+/// tuple) — and the tuple is restricted once at the end instead of once
+/// per operator. A tuple whose effective lifespan empties
 /// mid-chain is dropped immediately, before the later criteria run,
 /// mirroring the unfused per-stage drops.
 ///
@@ -415,8 +394,7 @@ class SelectWhenCursor : public Cursor {
   /// One fused restriction stage: a static slice window or a criterion.
   using Stage = std::variant<Lifespan, Predicate>;
 
-  SelectWhenCursor(CursorPtr child, Predicate predicate, PlanContext* ctx);
-  /// Fused chain; `stages` are innermost-first. With `project_scheme`
+  /// `stages` are innermost-first and never empty. With `project_scheme`
   /// non-null the cursor also applies the projection it describes
   /// (`project_src` maps output attribute positions to child positions).
   SelectWhenCursor(CursorPtr child, std::vector<Stage> stages,
@@ -446,22 +424,18 @@ class ProjectCursor : public Cursor {
   TupleBatch out_;
 };
 
-/// \brief TIME-SLICE, static (`T_L`) or dynamic (`T_@A`): restricts each
-/// tuple to the window (resp. the image of its own value of A); tuples
-/// whose restricted lifespan is empty are dropped. Tuples the static
-/// window already covers pass through as the original handle.
+/// \brief Dynamic TIME-SLICE (`T_@A`): restricts each tuple to the image
+/// of its own value of A; tuples whose restricted lifespan is empty are
+/// dropped. (A static slice `T_L` is a one-window SelectWhenCursor chain.)
 class TimeSliceCursor : public Cursor {
  public:
-  /// Static slice.
-  TimeSliceCursor(CursorPtr child, Lifespan window, PlanContext* ctx);
-  /// Dynamic slice on attribute `attr_idx` (pre-checked time-valued).
+  /// `attr_idx` is the slicing attribute, pre-checked time-valued.
   TimeSliceCursor(CursorPtr child, size_t attr_idx, PlanContext* ctx);
   Result<TupleBatch*> NextBatch() override;
 
  private:
   CursorPtr child_;
-  std::optional<Lifespan> window_;  // static mode
-  size_t attr_idx_ = 0;             // dynamic mode
+  size_t attr_idx_;
   TupleBatch out_;
 };
 
@@ -530,14 +504,6 @@ class HashEquiJoinCursor : public Cursor {
                      std::vector<std::pair<size_t, size_t>> key_attrs,
                      JoinAssembly assembly, JoinPairFn pair, size_t parallelism,
                      PlanContext* ctx);
-  /// Index-fed build: the build side arrives pre-partitioned from a storage
-  /// value index (single-column equality only), so no build cursor is
-  /// drained or digested; `probe` is the *other* input. The build tuples
-  /// still buffer (and count in PlanStats) exactly as in the drained form.
-  HashEquiJoinCursor(CursorPtr probe, IndexedBuildSide build, bool build_left,
-                     std::vector<std::pair<size_t, size_t>> key_attrs,
-                     JoinAssembly assembly, JoinPairFn pair, size_t parallelism,
-                     PlanContext* ctx);
   ~HashEquiJoinCursor() override;
   Result<TupleBatch*> NextBatch() override;
 
@@ -567,8 +533,6 @@ class HashEquiJoinCursor : public Cursor {
   size_t parallelism_;
 
   bool primed_ = false;
-  /// Index-fed mode: the pre-partitioned build side, consumed by Prime.
-  std::optional<IndexedBuildSide> prebuilt_;
   std::vector<TuplePtr> build_;                  // the buffered build side
   std::unordered_map<uint64_t, std::vector<size_t>> buckets_;
   std::vector<size_t> varying_;  // build tuples without a constant digest
@@ -720,12 +684,11 @@ class SetOpCursor : public BufferedResultCursor {
 // --- plans -------------------------------------------------------------------
 
 /// \brief Knobs for lowering a query tree to a physical plan.
+///
+/// Base-relation sizes, for the join-strategy, access-path, parallelism and
+/// group-count choices, are always the exact `Relation::size()` of the
+/// relation the PlanResolver returns; there is no separate size hook.
 struct PlanOptions {
-  /// Base-relation cardinality estimates for the join-strategy chooser
-  /// (catalog stats, via VersionPlanOptions in executor.h). When null, the
-  /// planner resolves names through the PlanResolver and uses exact stored
-  /// sizes.
-  CardinalityFn cardinality;
   /// Test hook (the differential join suite): force every *eligible* JOIN
   /// node onto one strategy. Nodes the strategy cannot execute (e.g. kHash
   /// on a non-equality θ-join, kMerge on anything but TIME-JOIN) fall back
@@ -742,12 +705,10 @@ struct PlanOptions {
   LifespanProbeFn lifespan_probe;
   /// Probes a value equality index for sargable SELECT-IF / SELECT-WHEN.
   ValueProbeFn value_probe;
-  /// Serves a hash-join build side pre-partitioned from a value index.
-  IndexedBuildFn indexed_build;
   /// Test hook (the index differential fuzz): force every *eligible*
   /// restriction onto one access path; nodes the path is not valid for (or
   /// relations without the index) fall back to the full scan. kFullScan
-  /// disables index scans and index-fed hash builds entirely.
+  /// disables index scans entirely.
   std::optional<AccessPath> force_access_path;
 
   // --- parallel execution (see the header comment) ---------------------------

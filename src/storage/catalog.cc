@@ -47,20 +47,8 @@ Status Catalog::Drop(std::string_view name) {
                             " not in catalog");
   }
   schemes_.erase(it);
-  if (auto st = stats_.find(name); st != stats_.end()) stats_.erase(st);
   if (auto ix = indexes_.find(name); ix != indexes_.end()) indexes_.erase(ix);
   return Status::OK();
-}
-
-void Catalog::SetTupleCount(std::string_view relation, size_t n) {
-  if (schemes_.find(relation) == schemes_.end()) return;
-  stats_[std::string(relation)].tuple_count = n;
-}
-
-std::optional<RelationStats> Catalog::Stats(std::string_view relation) const {
-  auto it = stats_.find(relation);
-  if (it == stats_.end()) return std::nullopt;
-  return it->second;
 }
 
 Status Catalog::RegisterLifespanIndex(std::string_view relation) {

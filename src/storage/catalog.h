@@ -21,14 +21,14 @@
 /// Schemes are immutable; evolution replaces the registered SchemePtr.
 /// Database (database.h) rebinds stored tuples after each change.
 ///
-/// Layer contract: the catalog is pure metadata — schemes, advisory
-/// per-relation statistics, and access-path index *registrations* (which
-/// indexes exist; the index data itself lives in storage/index.h and is
-/// owned by Database). The query optimizer reads stats and registrations
-/// through function hooks (`query::CardinalityFn`, `query::IndexCatalogFn`)
-/// so plans can be chosen without the query layer depending on storage
-/// internals. Everything here is advisory: stale or missing entries change
-/// plans, never answers.
+/// Layer contract: the catalog is pure metadata — schemes and access-path
+/// index *registrations* (which indexes exist; the index data itself lives
+/// in storage/index.h and is owned by Database). It keeps no copy of
+/// relation sizes: the planner reads `Relation::size()` of the stored
+/// relation itself. The query optimizer reads registrations through a
+/// function hook (`query::IndexCatalogFn`) so plans can be chosen without
+/// the query layer depending on storage internals. Registrations are
+/// advisory: a stale or missing entry changes plans, never answers.
 
 #include <map>
 #include <optional>
@@ -40,18 +40,9 @@
 
 namespace hrdm::storage {
 
-/// \brief Per-relation statistics kept alongside the scheme registry. The
-/// query optimizer's join-strategy chooser reads these as cardinality
-/// estimates (picking hash build sides); they are advisory — stale or
-/// missing stats change plans, never answers.
-struct RelationStats {
-  size_t tuple_count = 0;
-};
-
 /// \brief Which access-path indexes are registered on a relation (the
-/// optimizer's view; the index data lives in Database). Advisory like
-/// RelationStats: a registration without data simply keeps the full-scan
-/// path.
+/// optimizer's view; the index data lives in Database). Advisory: a
+/// registration without data simply keeps the full-scan path.
 struct IndexSpec {
   /// A lifespan interval index over tuple lifespans exists.
   bool lifespan = false;
@@ -90,22 +81,11 @@ class Catalog {
   Status ReopenAttribute(std::string_view relation, std::string_view attr,
                          const Lifespan& span);
 
-  // --- statistics ------------------------------------------------------------
-
-  /// \brief Records the stored tuple count of `relation` (maintained by
-  /// Database after every cardinality-changing mutation). Unknown relation
-  /// names are ignored (stats are advisory).
-  void SetTupleCount(std::string_view relation, size_t n);
-
-  /// \brief Stats for `relation`; nullopt when never recorded (or the
-  /// relation is not in the catalog).
-  std::optional<RelationStats> Stats(std::string_view relation) const;
-
   // --- index registrations ----------------------------------------------------
 
   /// \brief Records that a lifespan index exists on `relation`. Errors on
-  /// unknown relations (index registrations, unlike stats, are issued by
-  /// DDL and should fail loudly).
+  /// unknown relations (index registrations are issued by DDL and should
+  /// fail loudly).
   Status RegisterLifespanIndex(std::string_view relation);
 
   /// \brief Records a value index on `relation`.`attr` (idempotent).
@@ -118,7 +98,6 @@ class Catalog {
   Status Mutate(std::string_view relation, SchemePtr replacement);
 
   std::map<std::string, SchemePtr, std::less<>> schemes_;
-  std::map<std::string, RelationStats, std::less<>> stats_;
   std::map<std::string, IndexSpec, std::less<>> indexes_;
 };
 

@@ -25,11 +25,10 @@
 /// and records the paper's life-cycle events (§1–2: birth, death,
 /// reincarnation, temporal assignment, the Figure 6 schema-evolution
 /// operations) — one record per *logical* operation, so a replayed history
-/// is readable as the database's biography. Index *data* (access-path
-/// indexes, catalog statistics) is derived and never logged; index DDL
-/// (`kCreateLifespanIndex` / `kCreateValueIndex`) *is* logged so that
-/// recovery can re-issue it and rebuild the index from the recovered
-/// relation (the schema-evolution rebuild path).
+/// is readable as the database's biography. Index *data* is derived and
+/// never logged; index DDL (`kCreateLifespanIndex` / `kCreateValueIndex`)
+/// *is* logged so that recovery can re-issue it and rebuild the index from
+/// the recovered relation (the schema-evolution rebuild path).
 
 #include <string>
 #include <vector>

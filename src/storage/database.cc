@@ -106,7 +106,6 @@ Status Database::CreateRelation(std::string name,
 Status Database::CreateRelation(SchemePtr scheme) {
   return Mutate([&](DatabaseVersion& v) -> Status {
     HRDM_RETURN_IF_ERROR(v.catalog.Register(scheme));
-    v.catalog.SetTupleCount(scheme->name(), 0);
     v.relations.emplace(scheme->name(), std::make_shared<Relation>(scheme));
     return Status::OK();
   });
@@ -184,7 +183,6 @@ Status Database::Insert(std::string_view relation, Tuple t) {
   return Mutate([&](DatabaseVersion& v) -> Status {
     HRDM_ASSIGN_OR_RETURN(Relation * rel, MutableRelation(v, relation));
     HRDM_RETURN_IF_ERROR(rel->Insert(std::move(t)));
-    v.catalog.SetTupleCount(relation, rel->size());
     if (RelationIndexes* idx = MutableIndexesIfAny(v, relation)) {
       idx->OnInsert(rel->tuple_ptr(rel->size() - 1));
     }
@@ -265,7 +263,6 @@ Status Database::EndLifespan(std::string_view relation,
     const TuplePtr old = rel->tuple_ptr(idx);
     if (remaining.empty()) {
       HRDM_RETURN_IF_ERROR(rel->EraseAt(idx));
-      v.catalog.SetTupleCount(relation, rel->size());
       if (RelationIndexes* rix = MutableIndexesIfAny(v, relation)) {
         rix->OnRemove(old);
       }
@@ -359,7 +356,6 @@ Result<Database> Database::DecodeSnapshot(std::string_view data) {
     for (uint64_t i = 0; i < n; ++i) {
       HRDM_ASSIGN_OR_RETURN(Relation rel, DecodeRelation(&r));
       HRDM_RETURN_IF_ERROR(v.catalog.Register(rel.scheme()));
-      v.catalog.SetTupleCount(rel.scheme()->name(), rel.size());
       std::string name = rel.scheme()->name();
       v.relations.emplace(std::move(name),
                           std::make_shared<Relation>(std::move(rel)));

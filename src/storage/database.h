@@ -45,7 +45,8 @@
 /// DML mutation above (and rebuilds wholesale after schema evolution, which
 /// rebinds every tuple). Registrations live in the catalog; the query
 /// optimizer reaches both through the hooks `query::VersionPlanOptions`
-/// builds over a pinned `CurrentVersion()`.
+/// builds over a pinned `CurrentVersion()`, and reads relation sizes from
+/// the stored relations themselves.
 ///
 /// Persistence: `EncodeSnapshot`/`DecodeSnapshot` convert the data image
 /// (the physical level of Figure 9, via storage/serializer.h) to and from

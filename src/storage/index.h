@@ -10,10 +10,10 @@
 /// indexes only through the function hooks of `query::PlanOptions`, so the
 /// plan layer never depends on storage types. Indexes are *advisory
 /// candidate pruners*: a probe returns a superset of the qualifying tuples
-/// and the exact per-tuple algebra kernels (SelectIfMatches,
-/// TimeSliceTuple, the join pair kernels) re-check every candidate, so a
-/// stale or lossy index can change performance, never answers — the same
-/// contract as `Catalog`'s cardinality stats.
+/// and the exact per-tuple kernels (SelectIfMatches, the fused restriction
+/// chain, the join pair kernels) re-check every candidate, so a stale or
+/// lossy index can change performance, never answers — the same contract
+/// as `Catalog`'s index registrations.
 ///
 /// Two index shapes mirror the two entry-point restrictions of the paper's
 /// algebra (§4.3–4.4):
@@ -30,9 +30,8 @@
 ///    is constant over the tuple's lifespan (the paper's CD membership);
 ///    tuples whose value *varies* over their lifespan live in a per-chronon
 ///    fallback list that every probe returns (they may match any value at
-///    some chronon) — exactly the hash-join design of
-///    `query::HashEquiJoinCursor`, so the same index can feed a hash-join
-///    build side.
+///    some chronon) — the same digest-plus-fallback design as
+///    `query::HashEquiJoinCursor`'s build table.
 ///
 /// Index *data* is not persisted: the data image
 /// (`Database::EncodeSnapshot`) carries only the primary data. Index
@@ -169,16 +168,6 @@ class ValueIndex {
   /// (digest collisions and varying tuples are filtered downstream by the
   /// predicate kernel); never misses a qualifying tuple.
   std::vector<TuplePtr> Probe(const Value& key) const;
-
-  /// \brief Read-only view of the constant-digest buckets, keyed by the
-  /// raw `JoinKeyDigest` of the bucket's (constant) attribute value — the
-  /// zero-copy feed for a hash-join build side.
-  const std::unordered_map<uint64_t, std::vector<TuplePtr>>& buckets() const {
-    return buckets_;
-  }
-
-  /// \brief The varying-valued fallback tuples.
-  const std::vector<TuplePtr>& Varying() const { return varying_; }
 
   size_t entry_count() const { return constant_count_ + varying_.size(); }
 

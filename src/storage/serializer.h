@@ -16,8 +16,8 @@
 /// Layer contract: the bottom of the storage engine — pure functions from
 /// core objects to bytes and back, no engine state. Snapshots carry the
 /// *representation level* of Figure 9 (stored segments, not interpolated
-/// model values) and only primary data: access-path indexes and catalog
-/// statistics are derived and rebuilt after a load.
+/// model values) and only primary data: access-path indexes are derived
+/// and rebuilt after a load.
 
 #include <cstdint>
 #include <string>

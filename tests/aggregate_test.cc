@@ -350,7 +350,13 @@ TEST(AggregateTest, GroupEstimateFeedsThePlanner) {
   ASSERT_TRUE(ungrouped.ok());
   const auto pin = db.CurrentVersion();
   const query::PlanOptions options = query::VersionPlanOptions(*pin);
-  const query::CardinalityFn& card = options.cardinality;
+  // The planner's size source: the stored relations' exact sizes.
+  const query::CardinalityFn card =
+      [&pin](std::string_view name) -> std::optional<size_t> {
+    auto rel = pin->Get(name);
+    if (!rel.ok()) return std::nullopt;
+    return (*rel)->size();
+  };
   EXPECT_EQ(query::EstimateGroupCount(**ungrouped, card), 1u);
   EXPECT_GE(query::EstimateGroupCount(**grouped, card), 1u);
   // And the estimate is what the lowered plan records.

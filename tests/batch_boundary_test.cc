@@ -178,9 +178,13 @@ TEST(BatchBoundaryTest, TimeSliceCursor) {
   for (size_t n : kSizes) {
     SCOPED_TRACE("n=" + std::to_string(n));
     auto db = IntDb(n);
+    // Static slices run as one-window SelectWhenCursor chains.
     ExpectBoundaryClean(db, "timeslice(r, {[0, 9]})");  // pass-through path
     ExpectBoundaryClean(db, "timeslice(r, {[2, 5]})");  // restriction path
     ExpectBoundaryClean(db, "timeslice(r, {[20, 30]})");  // all dropped
+    // The dynamic slice is TimeSliceCursor's one mode.
+    AddTimeLeft(db, n);
+    ExpectBoundaryClean(db, "dynslice(tl, At)");
   }
 }
 

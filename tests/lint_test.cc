@@ -319,6 +319,35 @@ TEST(LintBannedTest, BatchProtocolInQueryPasses) {
   EXPECT_TRUE(Of(RunFiles(files), "banned-construct").empty());
 }
 
+TEST(LintBannedTest, SecondBuildPathOrSizeMirrorInSrcFails) {
+  const std::vector<SourceFile> files = {
+      Clean("src/query/a.h", "struct IndexedBuildSide;\n"),
+      Clean("src/query/b.cc", "void TryIndexFedEquiJoin();\n"),
+      Clean("src/query/c.h",
+            "struct S { size_t hash_builds_from_index; };\n"),
+      Clean("src/storage/d.h", "void SetTupleCount(int n);\n"),
+  };
+  const auto found = Of(RunFiles(files), "banned-construct");
+  ASSERT_EQ(found.size(), 4u);
+  EXPECT_TRUE(Mentions(found, "src/query/a.h: index-fed hash build"));
+  EXPECT_TRUE(Mentions(found, "src/query/b.cc: index-fed hash build"));
+  EXPECT_TRUE(Mentions(found, "src/query/c.h: index-fed hash build"));
+  EXPECT_TRUE(Mentions(found, "src/storage/d.h: tuple-count mirror"));
+}
+
+TEST(LintBannedTest, OneBuildPathAndLiveSizesPass) {
+  // Longer names that merely contain the banned words, the words in
+  // comments, and the same names outside src/ are all fine.
+  const std::vector<SourceFile> files = {
+      Clean("src/query/plan.h",
+            "// no IndexedBuildSide here\n"
+            "struct HashBuild { size_t hash_builds_from_index_total; };\n"
+            "size_t LiveSize(const Relation& r) { return r.size(); }\n"),
+      Clean("tests/index_test.cc", "void SetTupleCount(int n);\n"),
+  };
+  EXPECT_TRUE(Of(RunFiles(files), "banned-construct").empty());
+}
+
 TEST(LintBannedTest, LiveDatabaseReadInQueryFails) {
   const std::vector<SourceFile> files = {
       Clean("src/query/executor.h",

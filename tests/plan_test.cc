@@ -258,6 +258,38 @@ TEST(PlanStreamingTest, HashJoinBuffersOnlyBuildSide) {
   EXPECT_LT(plan->stats().join_pairs_tested, left_size * right_size);
 }
 
+TEST(PlanStreamingTest, HashBuildSideFollowsLiveSize) {
+  auto db = JoinDb(11);
+  // Erase lft tuples (EndLifespan at their first chronon leaves nothing)
+  // until lft, 8 tuples at first, is the smaller input (3 < 6).
+  std::vector<std::vector<Value>> keys;
+  std::vector<TimePoint> births;
+  for (const Tuple& t : **db.Get("lft")) {
+    keys.push_back(t.KeyValues());
+    births.push_back(t.lifespan().Min());
+  }
+  ASSERT_EQ(keys.size(), 8u);
+  for (size_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(db.EndLifespan("lft", keys[i], births[i]).ok());
+  }
+  const size_t left_size = (*db.Get("lft"))->size();
+  const size_t right_size = (*db.Get("rgt"))->size();
+  ASSERT_EQ(left_size, 3u);
+  ASSERT_LT(left_size, right_size);
+
+  auto expr = ParseExpr("join(lft, rgt, LV = RV)");
+  ASSERT_TRUE(expr.ok());
+  const auto pin = db.CurrentVersion();
+  auto plan =
+      Plan::Lower(*expr, VersionResolver(*pin), VersionPlanOptions(*pin));
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(plan->Drain().ok());
+  EXPECT_EQ(plan->stats().joins_hash, 1u);
+  // The planner read the live sizes, so the now-smaller lft is the build
+  // side and the only input ever buffered.
+  EXPECT_EQ(plan->stats().peak_buffered, left_size);
+}
+
 TEST(PlanStreamingTest, NestedLoopJoinBuffersOnlyRightInput) {
   auto db = JoinDb(11);
   // Inequality θ: no hashable pattern, nested loop (which still buffers

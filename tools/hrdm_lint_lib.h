@@ -33,7 +33,12 @@
 ///    (`ScalarCursor`, `NextTuple`, a `Result<TuplePtr> Next(` member —
 ///    `NextBatch()` is the one protocol), and any read against the live
 ///    database (`storage::Database`, `#include "storage/database.h"` — the
-///    read surface is a pinned `storage::DatabaseVersion`).
+///    read surface is a pinned `storage::DatabaseVersion`). Anywhere in
+///    `src/`: a second hash-join build path (`IndexedBuildSide`,
+///    `TryIndexFedEquiJoin`, `hash_builds_from_index` — the hash join
+///    drains and digests its build cursor) and a mirrored relation size
+///    (`SetTupleCount` — the planner reads `Relation::size()` through its
+///    resolver).
 ///  * **doc-parity** — every `PlanStats` counter field must be mentioned
 ///    in `docs/ARCHITECTURE.md` (the EXPLAIN surface is documentation;
 ///    an undocumented counter is a doc bug, exactly like an undocumented
@@ -784,8 +789,9 @@ inline bool TupleAtATimeNextAt(std::string_view code, size_t pos) {
 }
 
 /// banned-construct: naked new/delete, non-harness RNG, stderr printf in
-/// library code, blocking calls inside worker-pool task lambdas, and — in
-/// src/query — a tuple-at-a-time cursor protocol or a live-database read.
+/// library code, blocking calls inside worker-pool task lambdas, in src/ a
+/// second hash-build path or a mirrored relation size, and — in src/query
+/// — a tuple-at-a-time cursor protocol or a live-database read.
 inline void CheckBannedConstructs(
     const std::vector<SourceFile>& files,
     const std::map<std::string, std::string>& stripped,
@@ -797,6 +803,7 @@ inline void CheckBannedConstructs(
   for (const SourceFile& f : files) {
     const std::string& code = stripped.at(f.path);
     const bool in_tests = f.path.rfind("tests/", 0) == 0;
+    const bool in_src = f.path.rfind("src/", 0) == 0;
     const bool in_query = f.path.rfind("src/query/", 0) == 0;
     auto add = [&](size_t pos, const std::string& message) {
       findings->push_back({f.path, LineOf(code, pos), "banned-construct",
@@ -857,6 +864,20 @@ inline void CheckBannedConstructs(
                     "through tests/test_seeds.h (seed-reproducible fuzz)"
                   : "global RNG — use util/random.h (seedable, "
                     "deterministic)");
+        }
+      }
+      if (in_src) {
+        if (WordAt(code, pos, "IndexedBuildSide") ||
+            WordAt(code, pos, "TryIndexFedEquiJoin") ||
+            WordAt(code, pos, "hash_builds_from_index")) {
+          add(pos,
+              "index-fed hash build in src/ — the hash join has one build "
+              "path: it drains and digests its build cursor");
+        }
+        if (WordAt(code, pos, "SetTupleCount")) {
+          add(pos,
+              "tuple-count mirror in src/ — relation sizes come from "
+              "Relation::size(), read through the plan resolver");
         }
       }
       if (in_query) {
