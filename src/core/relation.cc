@@ -8,12 +8,24 @@ namespace {
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 }  // namespace
 
-void Relation::IndexTuple(const Tuple& t, size_t idx) {
-  if (scheme_->key().empty()) {
-    struct_index_[t.Hash()].push_back(idx);
-  } else {
-    key_index_[KeyHashOf(t.KeyValues())].push_back(idx);
+uint64_t Relation::IndexHashOf(const Tuple& t) const {
+  return scheme_->key().empty() ? t.Hash() : KeyHashOf(t.KeyValues());
+}
+
+TupleChunk& Relation::OwnChunk(size_t c) {
+  std::shared_ptr<TupleChunk>& chunk = chunks_[c];
+  if (chunk.use_count() > 1) chunk = std::make_shared<TupleChunk>(*chunk);
+  return *chunk;
+}
+
+void Relation::Append(TuplePtr t) {
+  index_.Insert(IndexHashOf(*t), size());
+  if (chunks_.empty() || chunks_.back()->size() == kChunkSize) {
+    chunks_.push_back(std::make_shared<TupleChunk>());
+    // The first chunk grows with the relation, so small results stay small.
+    if (chunks_.size() > 1) chunks_.back()->reserve(kChunkSize);
   }
+  OwnChunk(chunks_.size() - 1).push_back(std::move(t));
 }
 
 Status Relation::Insert(TuplePtr t) {
@@ -42,8 +54,7 @@ Status Relation::Insert(TuplePtr t) {
     return Status::ConstraintViolation(
         "duplicate tuple in keyless relation " + scheme_->name());
   }
-  IndexTuple(*t, tuples_.size());
-  tuples_.push_back(std::move(t));
+  Append(std::move(t));
   return Status::OK();
 }
 
@@ -62,27 +73,13 @@ Status Relation::InsertDedup(TuplePtr t) {
         " does not match relation scheme " + scheme_->name());
   }
   if (FindStructural(*t).has_value()) return Status::OK();
-  IndexTuple(*t, tuples_.size());
-  tuples_.push_back(std::move(t));
+  Append(std::move(t));
   return Status::OK();
 }
 
-namespace {
-
-void RemoveIndexEntry(std::unordered_map<uint64_t, std::vector<size_t>>* map,
-                      uint64_t hash, size_t idx) {
-  auto it = map->find(hash);
-  if (it == map->end()) return;
-  auto& chain = it->second;
-  chain.erase(std::remove(chain.begin(), chain.end(), idx), chain.end());
-  if (chain.empty()) map->erase(it);
-}
-
-}  // namespace
-
 Status Relation::ReplaceAt(size_t idx, TuplePtr t) {
   if (!t) return Status::InvalidArgument("ReplaceAt: null tuple");
-  if (idx >= tuples_.size()) {
+  if (idx >= size()) {
     return Status::InvalidArgument("ReplaceAt: index out of range");
   }
   if (t->scheme() != scheme_ && !t->scheme()->SameStructure(*scheme_)) {
@@ -98,27 +95,32 @@ Status Relation::ReplaceAt(size_t idx, TuplePtr t) {
           "ReplaceAt: key already used by another tuple");
     }
   }
-  const Tuple& old = *tuples_[idx];
-  if (scheme_->key().empty()) {
-    RemoveIndexEntry(&struct_index_, old.Hash(), idx);
-  } else {
-    RemoveIndexEntry(&key_index_, KeyHashOf(old.KeyValues()), idx);
+  const uint64_t old_hash = IndexHashOf(tuple(idx));
+  const uint64_t new_hash = IndexHashOf(*t);
+  if (old_hash != new_hash) {
+    index_.Erase(old_hash, idx);
+    index_.Insert(new_hash, idx);
   }
-  IndexTuple(*t, idx);
-  tuples_[idx] = std::move(t);
+  OwnChunk(idx >> kChunkBits)[idx & (kChunkSize - 1)] = std::move(t);
   return Status::OK();
 }
 
 Status Relation::EraseAt(size_t idx) {
-  if (idx >= tuples_.size()) {
+  const size_t n = size();
+  if (idx >= n) {
     return Status::InvalidArgument("EraseAt: index out of range");
   }
-  tuples_.erase(tuples_.begin() + static_cast<ptrdiff_t>(idx));
-  // Rebuild the indexes (indices after idx all shift).
-  key_index_.clear();
-  struct_index_.clear();
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    IndexTuple(*tuples_[i], i);
+  const size_t last = n - 1;
+  index_.Erase(IndexHashOf(tuple(idx)), idx);
+  if (idx != last) {
+    TuplePtr moved = tuple_ptr(last);
+    index_.Replace(IndexHashOf(*moved), last, idx);
+    OwnChunk(idx >> kChunkBits)[idx & (kChunkSize - 1)] = std::move(moved);
+  }
+  if (chunks_.back()->size() == 1) {
+    chunks_.pop_back();
+  } else {
+    OwnChunk(chunks_.size() - 1).pop_back();
   }
   return Status::OK();
 }
@@ -133,22 +135,23 @@ uint64_t Relation::KeyHashOf(const std::vector<Value>& key) const {
 
 std::optional<size_t> Relation::FindByKey(
     const std::vector<Value>& key) const {
-  auto it = key_index_.find(KeyHashOf(key));
-  if (it == key_index_.end()) return std::nullopt;
-  for (size_t idx : it->second) {
-    if (tuples_[idx]->KeyValues() == key) return idx;
-  }
-  return std::nullopt;
+  std::optional<size_t> found;
+  index_.AnyOf(KeyHashOf(key), [&](size_t idx) {
+    if (tuple(idx).KeyValues() != key) return false;
+    found = idx;
+    return true;
+  });
+  return found;
 }
 
 std::vector<size_t> Relation::FindAllByKey(
     const std::vector<Value>& key) const {
   std::vector<size_t> out;
-  auto it = key_index_.find(KeyHashOf(key));
-  if (it == key_index_.end()) return out;
-  for (size_t idx : it->second) {
-    if (tuples_[idx]->KeyValues() == key) out.push_back(idx);
-  }
+  index_.AnyOf(KeyHashOf(key), [&](size_t idx) {
+    if (tuple(idx).KeyValues() == key) out.push_back(idx);
+    return false;
+  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -156,21 +159,21 @@ std::optional<size_t> Relation::FindStructural(const Tuple& t) const {
   // Structurally equal tuples share their constant key, so a keyed scheme
   // finds duplicates on the key chain; only keyless schemes need the
   // structural map. The memoized hashes screen before full equality.
-  const bool keyed = !scheme_->key().empty();
-  const auto& index = keyed ? key_index_ : struct_index_;
-  auto it = index.find(keyed ? KeyHashOf(t.KeyValues()) : t.Hash());
-  if (it == index.end()) return std::nullopt;
+  std::optional<size_t> found;
   const uint64_t hash = t.Hash();
-  for (size_t idx : it->second) {
-    if (tuples_[idx]->Hash() == hash && *tuples_[idx] == t) return idx;
-  }
-  return std::nullopt;
+  index_.AnyOf(IndexHashOf(t), [&](size_t idx) {
+    const Tuple& candidate = tuple(idx);
+    if (candidate.Hash() != hash || !(candidate == t)) return false;
+    found = idx;
+    return true;
+  });
+  return found;
 }
 
 Lifespan Relation::LS() const {
   Lifespan ls;
-  for (const TuplePtr& t : tuples_) {
-    ls = ls.Union(t->lifespan());
+  for (const Tuple& t : *this) {
+    ls = ls.Union(t.lifespan());
   }
   return ls;
 }
@@ -178,8 +181,8 @@ Lifespan Relation::LS() const {
 bool Relation::EqualsAsSet(const Relation& other) const {
   if (!scheme_->SameStructure(*other.scheme_)) return false;
   if (size() != other.size()) return false;
-  for (const TuplePtr& t : tuples_) {
-    if (!other.FindStructural(*t).has_value()) return false;
+  for (const Tuple& t : *this) {
+    if (!other.FindStructural(t).has_value()) return false;
   }
   // Sizes equal and this ⊆ other; if `this` held duplicates they would have
   // been rejected on insert, so the sets are equal.
@@ -190,17 +193,18 @@ std::string Relation::ToString() const {
   std::string out = scheme_->ToString();
   out.push_back('\n');
   // Render tuples sorted by key (then hash) for deterministic output.
-  std::vector<size_t> order(tuples_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    const auto ka = tuples_[a]->KeyValues();
-    const auto kb = tuples_[b]->KeyValues();
+  std::vector<const Tuple*> order;
+  order.reserve(size());
+  for (const Tuple& t : *this) order.push_back(&t);
+  std::sort(order.begin(), order.end(), [](const Tuple* a, const Tuple* b) {
+    const auto ka = a->KeyValues();
+    const auto kb = b->KeyValues();
     if (ka != kb) return ka < kb;
-    return tuples_[a]->Hash() < tuples_[b]->Hash();
+    return a->Hash() < b->Hash();
   });
-  for (size_t i : order) {
+  for (const Tuple* t : order) {
     out += "  ";
-    out += tuples_[i]->ToString();
+    out += t->ToString();
     out.push_back('\n');
   }
   return out;

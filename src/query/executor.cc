@@ -53,8 +53,8 @@ Result<Relation> Eval(const ExprPtr& expr,
   if (!expr) return Status::InvalidArgument("null expression");
   if (expr->kind == ExprKind::kRelationRef) {
     // A bare reference is the stored relation itself, unmaterialized —
-    // copy-on-write makes this copy O(#tuples) pointer bumps, not a deep
-    // copy of every temporal value.
+    // structural sharing makes this copy one pointer bump per tuple chunk
+    // plus the key map's root node, not a deep copy of any tuple.
     HRDM_ASSIGN_OR_RETURN(const Relation* rel, version.Get(expr->relation));
     return *rel;
   }

@@ -106,7 +106,8 @@ size_t EstimateGroupCount(const Expr& agg, const CardinalityFn& card);
 // query regardless of selectivity. When the storage engine maintains an
 // index on the relation (storage/index.h, registered in the catalog), the
 // planner can open the pipeline with the ScanCursor leaf over the index's
-// candidate set instead of the stored tuple vector. Two index shapes are recognised:
+// candidate set instead of the whole stored relation. Two index shapes are
+// recognised:
 //
 //  * value index — a sargable `attr = constant` conjunct under SELECT-IF
 //    (existential) or SELECT-WHEN probes the equality index; candidates are

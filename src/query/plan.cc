@@ -82,6 +82,20 @@ Status ParallelMaterialize(std::vector<TuplePtr>& tuples, size_t workers,
   return Status::OK();
 }
 
+/// Folds tuples [begin, end) of `rel` into `agg` in relation order, one
+/// contiguous piece of a chunk at a time (every chunk but the last holds
+/// exactly Relation::kChunkSize handles).
+Status FoldRange(GroupedAggregator& agg, const Relation& rel, size_t begin,
+                 size_t end) {
+  while (begin < end) {
+    const size_t chunk_end = (begin | (Relation::kChunkSize - 1)) + 1;
+    const size_t n = std::min(end, chunk_end) - begin;
+    HRDM_RETURN_IF_ERROR(agg.FoldBatch(&rel.tuple_ptr(begin), n));
+    begin += n;
+  }
+  return Status::OK();
+}
+
 /// Runs a cursor to completion into a set-semantics Relation (the
 /// whole-relation operators' output contract). Blocking cursors hand over
 /// their buffered result directly; everything else drains batch-at-a-time.
@@ -199,22 +213,23 @@ TuplePtr PlanContext::AdoptTuple(Tuple&& t) {
 
 // --- ScanCursor --------------------------------------------------------------
 
-ScanCursor::ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples,
+ScanCursor::ScanCursor(SchemePtr scheme, std::vector<TupleChunkPtr> chunks,
                        AccessPath path, size_t parallelism, PlanContext* ctx)
     : Cursor(std::move(scheme), ctx),
-      tuples_(std::move(tuples)),
+      chunks_(std::move(chunks)),
       parallelism_(parallelism) {
+  for (const TupleChunkPtr& chunk : chunks_) size_ += chunk->size();
   switch (path) {
     case AccessPath::kFullScan:
       ++stats_->scans_full;
       break;
     case AccessPath::kLifespanIndex:
       ++stats_->scans_lifespan_index;
-      stats_->index_candidates += tuples_.size();
+      stats_->index_candidates += size_;
       break;
     case AccessPath::kValueIndex:
       ++stats_->scans_value_index;
-      stats_->index_candidates += tuples_.size();
+      stats_->index_candidates += size_;
       break;
   }
   stats_->OnParallelOperator(parallelism_);
@@ -222,36 +237,49 @@ ScanCursor::ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples,
 
 ScanCursor::~ScanCursor() {
   // Only the interpolated copies never streamed out are still buffered.
-  if (parallel_primed_) stats_->OnRelease(tuples_.size() - pos_);
+  if (parallel_primed_) stats_->OnRelease(size_ - emitted_);
 }
 
 Result<TupleBatch*> ScanCursor::NextBatch() {
   if (parallelism_ > 1 && !parallel_primed_) {
     parallel_primed_ = true;
-    HRDM_RETURN_IF_ERROR(ParallelMaterialize(tuples_, parallelism_, stats_));
-    stats_->OnBuffer(tuples_.size());  // interpolated copies, not yet emitted
-  }
-  if (pos_ >= tuples_.size()) return nullptr;
-  const size_t n = std::min(ctx_->batch_size, tuples_.size() - pos_);
-  batch_.clear();
-  if (parallel_primed_) {
-    // Already interpolated; the scan never rewinds, so each handle moves
-    // out as it is emitted.
-    for (size_t i = 0; i < n; ++i) {
-      batch_.push_back(std::move(tuples_[pos_ + i]));
+    TupleChunk flat;
+    flat.reserve(size_);
+    for (const TupleChunkPtr& chunk : chunks_) {
+      flat.insert(flat.end(), chunk->begin(), chunk->end());
     }
-    stats_->OnRelease(n);
-  } else {
-    // Representation → model mapping (Figure 9), one tight loop per batch.
-    // MaterializedShared memoizes per stored tuple, so re-scanning a
-    // database version re-uses the interpolated handles instead of
-    // re-running Figure 9's mapping every query.
-    for (size_t i = 0; i < n; ++i) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr m, tuples_[pos_ + i]->MaterializedShared());
+    HRDM_RETURN_IF_ERROR(ParallelMaterialize(flat, parallelism_, stats_));
+    chunks_.assign(1, std::make_shared<const TupleChunk>(std::move(flat)));
+    stats_->OnBuffer(size_);  // interpolated copies, not yet emitted
+  }
+  if (emitted_ >= size_) return nullptr;
+  const size_t n = std::min(ctx_->batch_size, size_ - emitted_);
+  batch_.clear();
+  // Batches run across chunk boundaries, so they are cut exactly as they
+  // would be from one flat handle vector.
+  while (batch_.size() < n) {
+    const TupleChunk& chunk = *chunks_[chunk_];
+    const size_t end = std::min(chunk.size(), offset_ + (n - batch_.size()));
+    for (size_t i = offset_; i < end; ++i) {
+      if (parallel_primed_) {
+        batch_.push_back(chunk[i]);  // already interpolated
+        continue;
+      }
+      // Representation → model mapping (Figure 9), one tight loop per
+      // batch. MaterializedShared memoizes per stored tuple, so re-scanning
+      // a database version re-uses the interpolated handles instead of
+      // re-running Figure 9's mapping every query.
+      HRDM_ASSIGN_OR_RETURN(TuplePtr m, chunk[i]->MaterializedShared());
       batch_.push_back(std::move(m));
     }
+    offset_ = end;
+    if (offset_ == chunk.size()) {
+      ++chunk_;
+      offset_ = 0;
+    }
   }
-  pos_ += n;
+  if (parallel_primed_) stats_->OnRelease(n);
+  emitted_ += n;
   stats_->tuples_scanned += n;
   return EmitOrEnd(batch_);
 }
@@ -333,15 +361,28 @@ Result<TupleBatch*> SelectWhenCursor::NextBatch() {
             Tuple::FromParts(scheme_, eff, std::move(values))));
         continue;
       }
+      if (t->scheme() != scheme_) {
+        Tuple restricted = t->Restrict(eff, scheme_);
+        if (restricted.lifespan().empty()) continue;
+        out_.push_back(ctx_->AdoptTuple(std::move(restricted)));
+        continue;
+      }
       // Identity fast path: the whole chain holds over the whole lifespan,
       // so Restrict would rebuild the tuple unchanged — re-emit the handle.
-      if (t->scheme() == scheme_ && eff.ContainsAll(t->lifespan())) {
+      if (eff.ContainsAll(t->lifespan())) {
         out_.push_back(std::move(t));
         continue;
       }
-      Tuple restricted = t->Restrict(eff, scheme_);
-      if (restricted.lifespan().empty()) continue;
-      out_.push_back(ctx_->AdoptTuple(std::move(restricted)));
+      // eff ⊆ t.l (every stage narrows the tuple's own lifespan), so
+      // t|_eff is eff with each value restricted to it — what Restrict
+      // builds, without its second cover test and t.l ∩ eff.
+      std::vector<TemporalValue> values;
+      values.reserve(t->arity());
+      for (size_t i = 0; i < t->arity(); ++i) {
+        values.push_back(t->value(i).Restrict(eff));
+      }
+      out_.push_back(ctx_->AdoptTuple(
+          Tuple::FromParts(scheme_, std::move(eff), std::move(values))));
     }
     if (!out_.empty()) return EmitOrEnd(out_);
   }
@@ -879,34 +920,34 @@ HashAggregateCursor::HashAggregateCursor(CursorPtr child,
   stats_->OnParallelOperator(parallelism_);
 }
 
-Status HashAggregateCursor::FoldAll(const std::vector<TuplePtr>& handles) {
-  if (parallelism_ <= 1 || handles.size() < 2) {
-    return aggregator_.FoldBatch(handles.data(), handles.size());
+Status HashAggregateCursor::FoldAll(const Relation& unique) {
+  if (parallelism_ <= 1 || unique.size() < 2) {
+    return FoldRange(aggregator_, unique, 0, unique.size());
   }
   // Morsel-parallel fold: each morsel folds its contiguous input slice into
   // a Fork()ed partial; merging the partials in morsel order reconstructs
   // exactly the serial aggregator state (same group first-touch order, same
   // per-group contribution order), so results are bitwise identical.
   util::ThreadPool& pool = util::SharedThreadPool(parallelism_);
-  const size_t morsel = MorselSizeFor(handles.size(), parallelism_);
-  const size_t count = MorselCountFor(handles.size(), morsel);
+  const size_t morsel = MorselSizeFor(unique.size(), parallelism_);
+  const size_t count = MorselCountFor(unique.size(), morsel);
   std::vector<GroupedAggregator> partials;
   partials.reserve(count);
   for (size_t m = 0; m < count; ++m) partials.push_back(aggregator_.Fork());
   std::vector<size_t> morsel_worker(count, 0);
   size_t dispatched = 0;
   HRDM_RETURN_IF_ERROR(util::ParallelMorsels(
-      pool, handles.size(), morsel,
+      pool, unique.size(), morsel,
       [&](size_t begin, size_t end, size_t worker_id) -> Status {
         GroupedAggregator& partial = partials[begin / morsel];
         morsel_worker[begin / morsel] = worker_id;
-        return partial.FoldBatch(handles.data() + begin, end - begin);
+        return FoldRange(partial, unique, begin, end);
       },
       &dispatched));
   stats_->morsels_dispatched += dispatched;
   for (size_t m = 0; m < count; ++m) {
     const size_t begin = m * morsel;
-    const size_t end = std::min(begin + morsel, handles.size());
+    const size_t end = std::min(begin + morsel, unique.size());
     stats_->OnWorkerTuples(morsel_worker[m], end - begin);
     aggregator_.MergeFrom(partials[m]);
     ++stats_->partitions_merged;
@@ -926,7 +967,7 @@ Result<Relation> HashAggregateCursor::Prime() {
   if (whole) {
     // The child already holds its entire deduplicated output.
     stats_->OnBuffer(whole->size());
-    HRDM_RETURN_IF_ERROR(FoldAll(whole->tuple_ptrs()));
+    HRDM_RETURN_IF_ERROR(FoldAll(*whole));
     stats_->OnRelease(whole->size());
   } else {
     Relation seen(child_->scheme());
@@ -940,7 +981,7 @@ Result<Relation> HashAggregateCursor::Prime() {
         stats_->OnBuffer(1);
       }
     }
-    HRDM_RETURN_IF_ERROR(FoldAll(seen.tuple_ptrs()));
+    HRDM_RETURN_IF_ERROR(FoldAll(seen));
     stats_->OnRelease(seen.size());
   }
   stats_->agg_groups_built += aggregator_.group_count();
@@ -1026,8 +1067,11 @@ Result<CursorPtr> LowerRestrictionInput(const Expr& op, const Lifespan* window,
       HRDM_ASSIGN_OR_RETURN(const Relation* rel, resolver(op.left->relation));
       const size_t parallelism = ChooseParallelism(
           RequestedParallelism(options), probe->size(), options.force_parallel);
-      return MakeCursor<ScanCursor>(rel->scheme(), *std::move(probe), path,
-                                    parallelism, ctx);
+      return MakeCursor<ScanCursor>(
+          rel->scheme(),
+          std::vector<TupleChunkPtr>{
+              std::make_shared<const TupleChunk>(*std::move(probe))},
+          path, parallelism, ctx);
     }
   }
   return LowerExpr(op.left, resolver, ctx, options);
@@ -1143,8 +1187,8 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
       HRDM_ASSIGN_OR_RETURN(const Relation* rel, resolver(expr->relation));
       const size_t parallelism = ChooseParallelism(
           RequestedParallelism(options), rel->size(), options.force_parallel);
-      // Copy-on-write: the scan shares the stored tuples.
-      return MakeCursor<ScanCursor>(rel->scheme(), rel->tuple_ptrs(),
+      // The scan shares the stored relation's chunks.
+      return MakeCursor<ScanCursor>(rel->scheme(), rel->chunks(),
                                     AccessPath::kFullScan, parallelism, ctx);
     }
     case ExprKind::kSelectIf: {

@@ -76,9 +76,10 @@
 /// pair walk wherever the batch fills, resuming there on the next pull.
 ///
 /// Base relations are read through one leaf, `ScanCursor`, over the tuple
-/// vector of the access path the optimizer's `ChooseAccessPath`
-/// (query/optimizer.h) picks at lowering time: the stored relation (full
-/// scan), or the candidate set of a storage-index probe (lifespan interval
+/// chunks of the access path the optimizer's `ChooseAccessPath`
+/// (query/optimizer.h) picks at lowering time: the stored relation's shared
+/// chunks (full scan), or one chunk holding the candidate set of a
+/// storage-index probe (lifespan interval
 /// index for TIME-SLICE windows, value equality index for sargable
 /// SELECT-IF/SELECT-WHEN conjuncts — see storage/index.h), reached through
 /// the probe hooks of `PlanOptions` so this layer never depends on storage
@@ -317,14 +318,15 @@ using CursorPtr = std::unique_ptr<Cursor>;
 // --- cursors -----------------------------------------------------------------
 
 /// \brief The one leaf: streams a base relation's tuples without copying
-/// them, slicing a tuple vector directly into batches. `path` records where
-/// the vector came from — the stored relation (kFullScan) or the candidate
-/// set of a lifespan / value index probe, a superset of the qualifying
-/// tuples that the enclosing operator's kernel re-checks, so the read is
-/// exact — and picks the PlanStats access-path counter. Holds only the
-/// shared tuple handles (not the relation's key/structural indexes), so
-/// the scan is safe even if the stored relation is later mutated and
-/// construction is O(#tuples) pointer bumps.
+/// them, slicing a run of tuple chunks directly into batches. `path`
+/// records where the chunks came from — the stored relation's own shared
+/// chunks (kFullScan), or one chunk holding the candidate set of a
+/// lifespan / value index probe, a superset of the qualifying tuples that
+/// the enclosing operator's kernel re-checks, so the read is exact — and
+/// picks the PlanStats access-path counter. Holding the chunk handles (not
+/// the relation's key map) keeps the scan safe even if the stored relation
+/// is later mutated — the relation then clones any chunk it writes — and
+/// makes construction O(#chunks) pointer bumps.
 /// The tuples are stored (representation-level) tuples, interpolated per
 /// batch; with `parallelism > 1` the whole interpolation pass instead runs
 /// up front, morsel-parallel on the worker pool (per-morsel output slots,
@@ -332,17 +334,21 @@ using CursorPtr = std::unique_ptr<Cursor>;
 /// the buffer (accounted in PlanStats until each one is emitted).
 class ScanCursor : public Cursor {
  public:
-  ScanCursor(SchemePtr scheme, std::vector<TuplePtr> tuples, AccessPath path,
-             size_t parallelism, PlanContext* ctx);
+  ScanCursor(SchemePtr scheme, std::vector<TupleChunkPtr> chunks,
+             AccessPath path, size_t parallelism, PlanContext* ctx);
   ~ScanCursor() override;
   Result<TupleBatch*> NextBatch() override;
 
  private:
-  std::vector<TuplePtr> tuples_;
+  std::vector<TupleChunkPtr> chunks_;
+  size_t size_ = 0;  // handles over all chunks
   size_t parallelism_;
-  /// The parallel pass has run: tuples_ holds interpolated handles.
+  /// The parallel pass has run: chunks_ is one chunk of interpolated
+  /// handles.
   bool parallel_primed_ = false;
-  size_t pos_ = 0;
+  size_t emitted_ = 0;
+  size_t chunk_ = 0;  // the next handle is chunks_[chunk_][offset_]
+  size_t offset_ = 0;
   TupleBatch batch_;
 };
 
@@ -650,9 +656,10 @@ class HashAggregateCursor : public BufferedResultCursor {
   Result<Relation> Prime() override;
 
  private:
-  /// Folds `handles` into aggregator_ — serially (FoldBatch), or via
-  /// per-morsel partials on the worker pool when parallelism_ > 1.
-  Status FoldAll(const std::vector<TuplePtr>& handles);
+  /// Folds the tuples of `unique` into aggregator_, in relation order —
+  /// serially (FoldBatch), or via per-morsel partials on the worker pool
+  /// when parallelism_ > 1.
+  Status FoldAll(const Relation& unique);
 
   CursorPtr child_;
   GroupedAggregator aggregator_;

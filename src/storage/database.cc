@@ -12,6 +12,10 @@ namespace {
 // These helpers hand out mutable pointers, cloning a root first iff someone
 // else still holds it (`use_count() > 1`) — so pinned snapshots are never
 // written, and the unshared fast path mutates in place at original cost.
+// A clone is shallow: a Relation copies its chunk handles and its key
+// trie's root node, a RelationIndexes its lifespan-index run handles and
+// value-index trie root nodes; the mutation that follows then copies only
+// the chunk and trie paths it writes.
 
 Result<Relation*> MutableRelation(DatabaseVersion& v, std::string_view name) {
   auto it = v.relations.find(name);

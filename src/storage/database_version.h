@@ -14,12 +14,16 @@
 /// `DatabaseVersionPtr` and read it lock-free.
 ///
 /// Copying a version is shallow — the maps hold `shared_ptr` roots, so a
-/// copy is O(#relations) pointer bumps and the tuples themselves (already
-/// shared immutably by the copy-on-write `Relation` design) are never
+/// copy is O(#relations) pointer bumps and the tuples themselves are never
 /// duplicated. Mutations clone only the specific `Relation` /
 /// `RelationIndexes` object they touch, and only when an older version
 /// still shares it (`use_count() > 1`); a version that has been published
-/// while a reader holds a pin is therefore never written again.
+/// while a reader holds a pin is therefore never written again. That
+/// clone is itself shallow: a `Relation` is tuple chunks plus a key-map
+/// `util::HashTrie`, a `RelationIndexes` is lifespan-index runs plus
+/// value-index tries, all shared the same way, so the first commit after
+/// a pin copies the chunk handles (one per `Relation::kChunkSize` tuples),
+/// one chunk and O(log n) trie nodes and runs — not the relation.
 ///
 /// The const read surface here mirrors `Database`'s: `Get`, `IndexesOf`,
 /// `CheckIntegrity`, `EncodeSnapshot` and `ToString` all answer from this

@@ -203,7 +203,7 @@ void ValueIndex::Add(const TuplePtr& t) {
   }
   const TemporalValue& v = t->value(attr_);
   if (v.IsConstant()) {
-    buckets_[JoinKeyDigest(v.ConstantValue())].push_back(t);
+    buckets_.Insert(JoinKeyDigest(v.ConstantValue()), t);
     ++constant_count_;
   } else {
     varying_.push_back(t);
@@ -217,12 +217,9 @@ void ValueIndex::Remove(const TuplePtr& t) {
   }
   const TemporalValue& v = t->value(attr_);
   if (v.IsConstant()) {
-    auto it = buckets_.find(JoinKeyDigest(v.ConstantValue()));
-    if (it == buckets_.end()) return;
-    const size_t before = it->second.size();
-    std::erase(it->second, t);
-    constant_count_ -= before - it->second.size();
-    if (it->second.empty()) buckets_.erase(it);
+    if (buckets_.Erase(JoinKeyDigest(v.ConstantValue()), t)) {
+      --constant_count_;
+    }
   } else {
     std::erase(varying_, t);
   }
@@ -237,10 +234,10 @@ void ValueIndex::Rebuild(const Relation& rel) {
 
 std::vector<TuplePtr> ValueIndex::Probe(const Value& key) const {
   std::vector<TuplePtr> out;
-  auto it = buckets_.find(JoinKeyDigest(key));
-  if (it != buckets_.end()) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
+  buckets_.AnyOf(JoinKeyDigest(key), [&](const TuplePtr& t) {
+    out.push_back(t);
+    return false;
+  });
   out.insert(out.end(), varying_.begin(), varying_.end());
   return out;
 }

@@ -44,12 +44,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/lifespan.h"
 #include "core/relation.h"
 #include "core/tuple.h"
+#include "util/hash_trie.h"
 #include "util/status.h"
 
 namespace hrdm::storage {
@@ -147,6 +147,11 @@ class LifespanIndex {
 /// \brief Equality index over one attribute: constant-valued tuples are
 /// bucketed by the `JoinKeyDigest` of their value, varying-valued tuples go
 /// to a fallback list every probe returns.
+///
+/// The buckets are one `util::HashTrie` (digest -> tuples, bucket order =
+/// insertion order), so copying the index — what a commit does while a
+/// reader pins the previous version — copies the trie's root node, and the
+/// first maintenance call after the copy copies one trie path.
 class ValueIndex {
  public:
   explicit ValueIndex(size_t attr_index) : attr_(attr_index) {}
@@ -173,7 +178,7 @@ class ValueIndex {
 
  private:
   size_t attr_;
-  std::unordered_map<uint64_t, std::vector<TuplePtr>> buckets_;
+  util::HashTrie<TuplePtr> buckets_;
   std::vector<TuplePtr> varying_;
   size_t constant_count_ = 0;
 };

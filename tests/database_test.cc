@@ -37,6 +37,79 @@ Database MakeEmpDb() {
   return db;
 }
 
+std::string EmpName(size_t i) { return "e" + std::to_string(i); }
+
+TEST(DatabaseTest, PinnedRelationSurvivesLaterCommits) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation("emp", EmpAttrs(), {"Name"}).ok());
+  ASSERT_TRUE(db.CreateLifespanIndex("emp").ok());
+  ASSERT_TRUE(db.CreateValueIndex("emp", "Name").ok());
+  auto scheme = *db.catalog().Get("emp");
+  auto make = [&](const std::string& name, int64_t salary) {
+    Tuple::Builder b(scheme, Span(0, 19));
+    b.SetConstant("Name", Value::String(name));
+    b.SetAt("Salary", 0, Value::Int(salary));
+    return *std::move(b).Build();
+  };
+  // Several full chunks and a partial tail.
+  const size_t n = 3 * Relation::kChunkSize + 7;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(
+        db.Insert("emp", make(EmpName(i), static_cast<int64_t>(i))).ok());
+  }
+
+  const DatabaseVersionPtr pinned = db.CurrentVersion();
+  const Relation* old = *pinned->Get("emp");
+  const std::string rendering = old->ToString();
+  const std::vector<TuplePtr> handles(old->tuple_ptrs().begin(),
+                                      old->tuple_ptrs().end());
+
+  // One AssignAt under the pin clones the one chunk it writes; every other
+  // chunk is shared, slot for slot, with the pinned relation.
+  const size_t assigned = Relation::kChunkSize + 5;
+  ASSERT_TRUE(
+      db.AssignAt("emp", Key(EmpName(assigned)), "Salary", 3, Value::Int(-1))
+          .ok());
+  {
+    const Relation* now = *db.Get("emp");
+    ASSERT_NE(now, old);
+    for (size_t i = 0; i < n; ++i) {
+      const bool written_chunk =
+          i / Relation::kChunkSize == assigned / Relation::kChunkSize;
+      EXPECT_EQ(&now->tuple_ptr(i) == &old->tuple_ptr(i), !written_chunk)
+          << "slot " << i;
+      EXPECT_EQ(now->tuple_ptr(i) == old->tuple_ptr(i), i != assigned)
+          << "slot " << i;
+    }
+  }
+
+  // Later commits of every lifecycle kind, the last erasing a tuple (the
+  // last tuple moves into its slot).
+  ASSERT_TRUE(db.Insert("emp", make("newborn", 1)).ok());
+  ASSERT_TRUE(db.Reincarnate("emp", Key(EmpName(7)), Span(40, 50)).ok());
+  ASSERT_TRUE(db.EndLifespan("emp", Key(EmpName(0)), 0).ok());
+  const Relation* now = *db.Get("emp");
+  EXPECT_EQ(now->size(), n);
+  EXPECT_FALSE(now->FindByKey(Key(EmpName(0))).has_value());
+  EXPECT_EQ(now->FindByKey(Key("newborn")), std::optional<size_t>(0));
+  EXPECT_EQ(now->tuple(*now->FindByKey(Key(EmpName(7)))).lifespan().ToString(),
+            "{[0,19],[40,50]}");
+
+  // The pinned version answers exactly as before.
+  EXPECT_EQ(old->ToString(), rendering);
+  ASSERT_EQ(old->size(), n);
+  EXPECT_FALSE(old->FindByKey(Key("newborn")).has_value());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(old->tuple_ptr(i), handles[i]) << "slot " << i;
+    EXPECT_EQ(old->FindByKey(Key(EmpName(i))), std::optional<size_t>(i));
+  }
+  const ValueIndex* names = pinned->IndexesOf("emp")->value("Name");
+  ASSERT_NE(names, nullptr);
+  EXPECT_EQ(names->Probe(Value::String(EmpName(0))),
+            std::vector<TuplePtr>{handles[0]});
+  EXPECT_TRUE(names->Probe(Value::String("newborn")).empty());
+}
+
 TEST(CatalogTest, RegisterGetDrop) {
   Catalog c;
   ASSERT_TRUE(c.Create("emp", EmpAttrs(), {"Name"}).ok());

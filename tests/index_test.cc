@@ -317,6 +317,37 @@ TEST(ValueIndexTest, RemoveAndReplaceKeepBucketsExact) {
   EXPECT_EQ(index.Probe(Value::Int(5)).size(), 1u);
 }
 
+TEST(ValueIndexTest, CopyIsUnchangedByLaterMaintenance) {
+  // A commit after a reader pin copies the index and maintains the copy;
+  // the pinned original must keep every bucket, in order.
+  SchemePtr scheme = ObjScheme();
+  Relation rel(scheme);
+  for (int id = 0; id < 200; ++id) {
+    ASSERT_TRUE(rel.Insert(MakeObj(scheme, id, Span(0, 9), id % 7)).ok());
+  }
+  ValueIndex index(*scheme->RequireIndex("X"));
+  index.Rebuild(rel);
+  std::vector<std::vector<TuplePtr>> before;
+  for (int x = 0; x < 8; ++x) before.push_back(index.Probe(Value::Int(x)));
+
+  const ValueIndex pinned = index;
+  for (size_t i = 0; i < rel.size(); i += 3) index.Remove(rel.tuple_ptr(i));
+  const TuplePtr added =
+      std::make_shared<const Tuple>(MakeObj(scheme, 500, Span(0, 9), 7));
+  index.Add(added);
+  EXPECT_EQ(index.Probe(Value::Int(7)), std::vector<TuplePtr>{added});
+  EXPECT_EQ(index.entry_count(), 200u - 67u + 1u);
+
+  EXPECT_EQ(pinned.entry_count(), 200u);
+  for (int x = 0; x < 8; ++x) {
+    EXPECT_EQ(pinned.Probe(Value::Int(x)), before[static_cast<size_t>(x)])
+        << "x = " << x;
+  }
+  index.Rebuild(Relation(scheme));
+  EXPECT_EQ(index.entry_count(), 0u);
+  EXPECT_EQ(pinned.Probe(Value::Int(3)), before[3]);
+}
+
 // --- access-path choice ------------------------------------------------------
 
 query::IndexCatalogFn TestIndexCatalog(bool lifespan,

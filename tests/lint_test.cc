@@ -348,6 +348,38 @@ TEST(LintBannedTest, OneBuildPathAndLiveSizesPass) {
   EXPECT_TRUE(Of(RunFiles(files), "banned-construct").empty());
 }
 
+TEST(LintBannedTest, RetiredEntryMapInVersionedRootFails) {
+  const std::vector<SourceFile> files = {
+      Clean("src/core/relation.h",
+            "std::unordered_map<uint64_t, std::vector<size_t>> key_index_;\n"),
+      Clean("src/storage/index.h",
+            "std::unordered_map<uint64_t,\n"
+            "                   std::vector<TuplePtr>> buckets_;\n"),
+  };
+  const auto found = Of(RunFiles(files), "banned-construct");
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_TRUE(Mentions(found, "src/core/relation.h: per-entry hash map"));
+  EXPECT_TRUE(Mentions(found, "src/storage/index.h: per-entry hash map"));
+}
+
+TEST(LintBannedTest, HashTrieAndPerQueryTablesPass) {
+  // The trie, other value shapes in versioned roots, and the same shape in
+  // per-query tables (query, algebra) or outside src/ are all fine.
+  const std::vector<SourceFile> files = {
+      Clean("src/core/relation.h", "util::HashTrie<size_t> index_;\n"),
+      Clean("src/storage/index.h",
+            "std::unordered_map<uint64_t, std::vector<Value>> other_;\n"
+            "// std::unordered_map<uint64_t, std::vector<size_t>> gone_;\n"),
+      Clean("src/query/plan.h",
+            "std::unordered_map<uint64_t, std::vector<size_t>> buckets_;\n"),
+      Clean("src/algebra/aggregate.h",
+            "std::unordered_map<uint64_t, std::vector<size_t>> buckets_;\n"),
+      Clean("tests/index_test.cc",
+            "std::unordered_map<uint64_t, std::vector<TuplePtr>> model;\n"),
+  };
+  EXPECT_TRUE(Of(RunFiles(files), "banned-construct").empty());
+}
+
 TEST(LintBannedTest, LiveDatabaseReadInQueryFails) {
   const std::vector<SourceFile> files = {
       Clean("src/query/executor.h",

@@ -83,11 +83,14 @@ TEST(RelationTest, KeyedInsertDedupFindsDuplicatesOnTheKeyChain) {
   EXPECT_EQ(r.FindStructural(second), std::optional<size_t>(1));
   EXPECT_FALSE(r.FindStructural(MakeTuple("a", 0, 11, 1)).has_value());
   EXPECT_FALSE(r.FindStructural(MakeTuple("c", 0, 10, 1)).has_value());
-  // The key chain follows replacement and erasure.
+  // The key chain follows replacement and erasure. EraseAt moves the last
+  // tuple ("b") into the hole; "second" keeps its position.
   ASSERT_TRUE(r.ReplaceAt(0, MakeTuple("a", 0, 20, 1)).ok());
   EXPECT_FALSE(r.FindStructural(first).has_value());
   ASSERT_TRUE(r.EraseAt(0).ok());
-  EXPECT_EQ(r.FindStructural(second), std::optional<size_t>(0));
+  EXPECT_EQ(r.FindStructural(second), std::optional<size_t>(1));
+  EXPECT_EQ(r.FindStructural(MakeTuple("b", 0, 10, 1)),
+            std::optional<size_t>(0));
 }
 
 TEST(RelationTest, LSIsUnionOfTupleLifespans) {

@@ -15,6 +15,7 @@
 //   HRDM_SESSION_FUZZ_SEEDS=5 ctest -R SessionFuzz
 //   HRDM_CONCURRENCY_FUZZ_SEEDS=9 ctest -R ConcurrencyFuzz
 //   HRDM_LIFESPAN_INDEX_SEEDS=6 ctest -R LifespanIndexTest.RandomHistories
+//   HRDM_HASH_TRIE_SEEDS=4 ctest -R HashTrieTest
 //
 // (The crash harness also reads HRDM_CRASH_FSYNC=off|batched|always to
 // pick the child's WAL fsync policy; default "always".)

@@ -38,7 +38,13 @@
 ///    `TryIndexFedEquiJoin`, `hash_builds_from_index` — the hash join
 ///    drains and digests its build cursor) and a mirrored relation size
 ///    (`SetTupleCount` — the planner reads `Relation::size()` through its
-///    resolver).
+///    resolver). In `src/core` and `src/storage`, whose relation and index
+///    roots database versions share: the retired per-entry maps
+///    `std::unordered_map<uint64_t, std::vector<size_t>>` and
+///    `std::unordered_map<uint64_t, std::vector<TuplePtr>>`, which a
+///    pinned commit had to copy entry by entry (`util::HashTrie` copies
+///    one path). Per-query hash tables in `src/query` and `src/algebra`
+///    are never shared and keep the shape.
 ///  * **doc-parity** — every `PlanStats` counter field must be mentioned
 ///    in `docs/ARCHITECTURE.md` (the EXPLAIN surface is documentation;
 ///    an undocumented counter is a doc bug, exactly like an undocumented
@@ -788,10 +794,31 @@ inline bool TupleAtATimeNextAt(std::string_view code, size_t pos) {
   return p < code.size() && code[p] == '(';
 }
 
+/// True if a retired per-entry map shape starts at `pos`: a hash map from
+/// 64-bit hashes to heap vectors of positions or tuple handles (whitespace
+/// ignored). Copying one costs a heap node per entry, so versioned roots
+/// key their maps with util::HashTrie instead.
+inline bool RetiredEntryMapAt(std::string_view code, size_t pos) {
+  constexpr std::string_view kHead = "std::unordered_map<";
+  if (code.compare(pos, kHead.size(), kHead) != 0) return false;
+  std::string shape;
+  int depth = 0;
+  for (size_t p = pos; p < code.size(); ++p) {
+    const char c = code[p];
+    if (std::isspace(static_cast<unsigned char>(c)) != 0) continue;
+    shape.push_back(c);
+    if (c == '<') ++depth;
+    if (c == '>' && --depth == 0) break;
+  }
+  return shape == "std::unordered_map<uint64_t,std::vector<size_t>>" ||
+         shape == "std::unordered_map<uint64_t,std::vector<TuplePtr>>";
+}
+
 /// banned-construct: naked new/delete, non-harness RNG, stderr printf in
 /// library code, blocking calls inside worker-pool task lambdas, in src/ a
-/// second hash-build path or a mirrored relation size, and — in src/query
-/// — a tuple-at-a-time cursor protocol or a live-database read.
+/// second hash-build path or a mirrored relation size, in src/core and
+/// src/storage a retired per-entry hash map, and — in src/query — a
+/// tuple-at-a-time cursor protocol or a live-database read.
 inline void CheckBannedConstructs(
     const std::vector<SourceFile>& files,
     const std::map<std::string, std::string>& stripped,
@@ -805,6 +832,8 @@ inline void CheckBannedConstructs(
     const bool in_tests = f.path.rfind("tests/", 0) == 0;
     const bool in_src = f.path.rfind("src/", 0) == 0;
     const bool in_query = f.path.rfind("src/query/", 0) == 0;
+    const bool in_versioned = f.path.rfind("src/core/", 0) == 0 ||
+                              f.path.rfind("src/storage/", 0) == 0;
     auto add = [&](size_t pos, const std::string& message) {
       findings->push_back({f.path, LineOf(code, pos), "banned-construct",
                            message, LineTextAt(f.content, pos)});
@@ -879,6 +908,11 @@ inline void CheckBannedConstructs(
               "tuple-count mirror in src/ — relation sizes come from "
               "Relation::size(), read through the plan resolver");
         }
+      }
+      if (in_versioned && RetiredEntryMapAt(code, pos)) {
+        add(pos,
+            "per-entry hash map in a versioned root — a pinned commit "
+            "would copy every entry; key the map with util::HashTrie");
       }
       if (in_query) {
         if (WordAt(code, pos, "ScalarCursor") ||
